@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak
+.PHONY: test race bench bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak perfbench-test
 
 # chaos runs the fault-injection matrix, checkpoint/resume equivalence,
 # and cancellation tests under the race detector.
@@ -29,6 +29,12 @@ crashsoak:
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+# perfbench-test vets and self-tests the benchmark harness, a module of
+# its own that root `go test ./...` does not see, though it drives the
+# facade (RunYarrp6, Result.ShardStats, Scheduler) and internal/*.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

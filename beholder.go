@@ -314,8 +314,7 @@ type YarrpOptions struct {
 	// campaign virtual time (as an operator's signal handler would at a
 	// wall instant). RunYarrp6 then returns the partial Result — with
 	// Result.Checkpoint holding the serialized resume artifact — and an
-	// error wrapping ErrInterrupted. Setting it forces the campaign
-	// engine even for one shard, so the run is checkpointable.
+	// error wrapping ErrInterrupted.
 	InterruptAt time.Duration
 	// Adaptive, when non-nil, switches the run to closed-loop
 	// probabilistic target generation: the targets passed to RunYarrp6
@@ -383,8 +382,10 @@ type Result struct {
 	// virtual time (exact in probes and in unique-interface counts);
 	// the per-window curves live in ShardStats.
 	Curve []core.CurvePoint
-	// ShardStats holds the per-shard counter breakdown of a sharded
-	// campaign; nil for single-instance runs.
+	// ShardStats holds the per-shard counter breakdown: one entry per
+	// campaign shard (a single-shard run has one), followed by any
+	// recovery probers that re-probed quarantined ranges. Nil for
+	// adaptive runs, whose per-epoch breakdown is in Epochs.
 	ShardStats []core.Stats
 	// PlanHits, PlanMisses, PlanEvictions and SharedPlanHits are the
 	// flow-plan cache counters accumulated by this run alone (summed
@@ -500,143 +501,50 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		Targets: targets,
-		PPS:     opt.Rate,
-		MaxTTL:  uint8(opt.MaxTTL),
-		Proto:   proto,
-		Key:     opt.Key,
-		Fill:    opt.Fill,
-		Batch:   opt.Batch,
+	shards := max(opt.Shards, 1)
+	ccfg := core.CampaignConfig{
+		Config: core.Config{
+			Targets: targets,
+			PPS:     opt.Rate,
+			MaxTTL:  uint8(opt.MaxTTL),
+			Proto:   proto,
+			Key:     opt.Key,
+			Fill:    opt.Fill,
+			Batch:   opt.Batch,
+		},
+		Shards:      shards,
+		RecordPaths: true,
+		Telemetry:   opt.Telemetry,
+		InterruptAt: opt.InterruptAt,
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	// Telemetry and progress streaming run on the campaign engine even
-	// for a single instance: its sampling grid is what makes the series
-	// deterministic across shard and batch settings.
-	if opt.Shards > 1 || opt.Telemetry != nil || opt.Progress != nil || opt.InterruptAt > 0 {
-		shards := opt.Shards
-		if shards < 1 {
-			shards = 1
+	if opt.Progress != nil || opt.Telemetry != nil {
+		ccfg.Progress = &core.ProgressConfig{
+			Writer:   opt.Progress,
+			PerShard: opt.ProgressPerShard,
 		}
-		epoch := v.clk
+	}
+	r := v.beginRun(opt.Telemetry)
+	if opt.Graph {
 		// With streaming graph construction, every shard folds replies
 		// into its own subgraph; the subgraphs merge after the run into
 		// exactly the graph one unsharded prober would have built.
-		var builders []*graph.Graph
-		ccfg := core.CampaignConfig{
-			Config:      cfg,
-			Shards:      shards,
-			RecordPaths: true,
-			Telemetry:   opt.Telemetry,
-			InterruptAt: opt.InterruptAt,
+		r.builders = make([]*graph.Graph, shards)
+		ccfg.NewObserver = func(s int) probe.Observer {
+			r.builders[s] = graph.New(v.v.Name())
+			return r.builders[s]
 		}
-		if opt.Progress != nil || opt.Telemetry != nil {
-			ccfg.Progress = &core.ProgressConfig{
-				Writer:   opt.Progress,
-				PerShard: opt.ProgressPerShard,
-			}
-		}
-		if opt.Graph {
-			builders = make([]*graph.Graph, shards)
-			ccfg.NewObserver = func(s int) probe.Observer {
-				builders[s] = graph.New(v.v.Name())
-				return builders[s]
-			}
-		}
-		var clones []*netsim.Vantage
-		var factory core.ConnFactory
-		if shards > 1 {
-			v.v.BeginShardGroup()
-			factory = func(_ int, start time.Duration) probe.Conn {
-				nv := v.v.Clone(epoch + start)
-				clones = append(clones, nv)
-				return nv
-			}
-		} else {
-			// A lone campaign shard owns the whole window; probing on
-			// the vantage's own connection keeps the plan cache (and
-			// its counters) where direct serial runs leave them.
-			factory = func(_ int, _ time.Duration) probe.Conn { return v.v }
-		}
-		camp := core.NewCampaign(ccfg, factory)
-		store, stats, err := camp.Run()
-		interrupted := errors.Is(err, core.ErrInterrupted)
-		if err != nil && !interrupted {
-			return nil, err
-		}
-		if shards > 1 {
-			// The serial path drives v's own clock through the campaign;
-			// mirror that here so follow-up operations on this vantage
-			// see the same virtual time at any shard count. The
-			// vantage's own timeline advances with it — never from
-			// another vantage's concurrent activity on the shared clock.
-			v.v.Sleep(stats.Elapsed)
-			v.clk = epoch + stats.Elapsed
-		} else {
-			v.clk = v.v.Now()
-		}
-		var g *graph.Graph
-		if opt.Graph {
-			g = graph.Union(builders...)
-		}
-		res := &Result{
-			ProbesSent:  stats.ProbesSent,
-			Fills:       stats.Fills,
-			Replies:     stats.Replies,
-			Elapsed:     stats.Elapsed,
-			Curve:       stats.Curve,
-			ShardStats:  stats.PerShard,
-			Progress:    stats.Progress,
-			Quarantined: stats.Quarantined,
-			Incomplete:  stats.Incomplete,
-			store:       store,
-			graph:       g,
-			vantage:     v.v.Name(),
-			proto:       proto,
-		}
-		res.setPlanStats(v, vsBefore, clones)
-		if opt.Telemetry != nil {
-			v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-			res.Telemetry = opt.Telemetry.Snapshot()
-		}
-		if interrupted {
-			art, cerr := camp.Checkpoint()
-			if cerr != nil {
-				return nil, cerr
-			}
-			res.Checkpoint = art
-			return res, err
-		}
-		return res, nil
 	}
-	var g *graph.Graph
-	if opt.Graph {
-		g = graph.New(v.v.Name())
-		cfg.Observer = g
+	conns := func(int, time.Duration) probe.Conn {
+		// A lone shard owns the whole window and probes on the vantage's
+		// own connection, so back-to-back runs on one vantage carry its
+		// token buckets, plan cache and counters forward.
+		return v.v
 	}
-	store := probe.NewStore(true)
-	stats, err := core.New(v.v, cfg).Run(store)
-	if err != nil {
-		return nil, err
+	if shards > 1 {
+		epoch := v.clk
+		conns = r.shardConns(func() time.Duration { return epoch })
 	}
-	v.clk = v.v.Now()
-	res := &Result{
-		ProbesSent: stats.ProbesSent,
-		Fills:      stats.Fills,
-		Replies:    stats.Replies,
-		Elapsed:    stats.Elapsed,
-		Curve:      stats.Curve,
-		store:      store,
-		graph:      g,
-		vantage:    v.v.Name(),
-		proto:      proto,
-	}
-	res.setPlanStats(v, vsBefore, nil)
-	return res, nil
+	return r.finish(core.NewCampaign(ccfg, conns), proto)
 }
 
 // ResumeYarrp6 resumes an interrupted campaign from the checkpoint
@@ -657,67 +565,22 @@ func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, erro
 	if core.IsAdaptiveCheckpoint(artifact) {
 		return v.resumeAdaptive(artifact, opt)
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	var clones []*netsim.Vantage
+	r := v.beginRun(opt.Telemetry)
 	var camp *core.Campaign
-	v.v.BeginShardGroup()
-	factory := func(_ int, start time.Duration) probe.Conn {
-		// The artifact's epoch anchors the original absolute schedule;
-		// clones must reopen at those instants for the keyed per-packet
-		// draws to replay.
-		nv := v.v.Clone(camp.Epoch() + start)
-		clones = append(clones, nv)
-		return nv
-	}
 	camp, err := core.Resume(artifact, core.ResumeConfig{
 		Telemetry:        opt.Telemetry,
 		ProgressWriter:   opt.Progress,
 		ProgressPerShard: opt.ProgressPerShard,
 		InterruptAt:      opt.InterruptAt,
-	}, factory)
+	}, r.shardConns(func() time.Duration { return camp.Epoch() }))
 	if err != nil {
 		return nil, err
 	}
-	store, stats, err := camp.Run()
-	interrupted := errors.Is(err, core.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, err
-	}
-	v.v.Sleep(stats.Elapsed)
-	v.clk = camp.Epoch() + stats.Elapsed
-	res := &Result{
-		ProbesSent:  stats.ProbesSent,
-		Fills:       stats.Fills,
-		Replies:     stats.Replies,
-		Elapsed:     stats.Elapsed,
-		Curve:       stats.Curve,
-		ShardStats:  stats.PerShard,
-		Progress:    stats.Progress,
-		Quarantined: stats.Quarantined,
-		Incomplete:  stats.Incomplete,
-		store:       store,
-		vantage:     v.v.Name(),
-		proto:       camp.Proto(),
-	}
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
-	}
-	if interrupted {
-		art, cerr := camp.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Checkpoint = art
-		return res, err
-	}
-	return res, nil
+	return r.finish(camp, camp.Proto())
 }
+
+// errAdaptiveProgress rejects a progress stream on an adaptive run.
+var errAdaptiveProgress = errors.New("beholder: progress streaming is unsupported under adaptive generation")
 
 // runAdaptive executes a closed-loop adaptive campaign: seeds build a
 // gen6prob source, and the core adaptive engine alternates sharded
@@ -728,19 +591,8 @@ func (v *Vantage) runAdaptive(seeds []netip.Addr, opt YarrpOptions) (*Result, er
 		return nil, err
 	}
 	if opt.Progress != nil {
-		return nil, fmt.Errorf("beholder: progress streaming is unsupported under adaptive generation")
+		return nil, errAdaptiveProgress
 	}
-	ao := *opt.Adaptive
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	src := gen6prob.New(seeds, gen6prob.Config{Key: opt.Key})
 	acfg := core.AdaptiveConfig{
 		CampaignConfig: core.CampaignConfig{
 			Config: core.Config{
@@ -751,47 +603,20 @@ func (v *Vantage) runAdaptive(seeds []netip.Addr, opt YarrpOptions) (*Result, er
 				Fill:   opt.Fill,
 				Batch:  opt.Batch,
 			},
-			Shards:      shards,
+			Shards:      max(opt.Shards, 1),
 			RecordPaths: true,
 			Telemetry:   opt.Telemetry,
 			InterruptAt: opt.InterruptAt,
 		},
-		Source:        src,
-		Budget:        ao.Budget,
-		EpochTargets:  ao.EpochTargets,
-		MaxEpochs:     ao.MaxEpochs,
-		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
+		Source:        gen6prob.New(seeds, gen6prob.Config{Key: opt.Key}),
+		Budget:        opt.Adaptive.Budget,
+		EpochTargets:  opt.Adaptive.EpochTargets,
+		MaxEpochs:     opt.Adaptive.MaxEpochs,
+		DetectAliases: v.adaptiveAliasHook(opt.Adaptive.AliasMinHits),
 	}
+	r := v.beginRun(opt.Telemetry)
 	epoch := v.clk
-	v.v.BeginShardGroup()
-	var clones []*netsim.Vantage
-	camp := core.NewAdaptive(acfg, func(_ int, start time.Duration) probe.Conn {
-		nv := v.v.Clone(epoch + start)
-		clones = append(clones, nv)
-		return nv
-	})
-	store, astats, err := camp.Run()
-	interrupted := errors.Is(err, core.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, err
-	}
-	v.v.Sleep(astats.Elapsed)
-	v.clk = epoch + astats.Elapsed
-	res := v.adaptiveResult(store, astats, proto)
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
-	}
-	if interrupted {
-		art, cerr := camp.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Checkpoint = art
-		return res, err
-	}
-	return res, nil
+	return r.finish(core.NewAdaptive(acfg, r.shardConns(func() time.Duration { return epoch })), proto)
 }
 
 // resumeAdaptive continues an interrupted adaptive campaign: the
@@ -803,75 +628,142 @@ func (v *Vantage) resumeAdaptive(artifact []byte, opt YarrpOptions) (*Result, er
 		return nil, fmt.Errorf("beholder: adaptive checkpoint: set YarrpOptions.Adaptive.Seeds to the original seed observations")
 	}
 	if opt.Progress != nil {
-		return nil, fmt.Errorf("beholder: progress streaming is unsupported under adaptive generation")
+		return nil, errAdaptiveProgress
 	}
-	ao := *opt.Adaptive
 	info, err := core.InspectCheckpoint(artifact)
 	if err != nil {
 		return nil, err
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	// The artifact pins the permutation key; the generator's sampler is
-	// keyed identically so its restored counter replays the same draws.
-	src := gen6prob.New(ao.Seeds, gen6prob.Config{Key: info.Key})
-	v.v.BeginShardGroup()
-	var clones []*netsim.Vantage
+	r := v.beginRun(opt.Telemetry)
 	var camp *core.AdaptiveCampaign
 	camp, err = core.ResumeAdaptive(artifact, core.AdaptiveResumeConfig{
-		Source:        src,
-		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
+		// The artifact pins the permutation key; the generator's sampler
+		// is keyed identically so its restored counter replays the same
+		// draws.
+		Source:        gen6prob.New(opt.Adaptive.Seeds, gen6prob.Config{Key: info.Key}),
+		DetectAliases: v.adaptiveAliasHook(opt.Adaptive.AliasMinHits),
 		Telemetry:     opt.Telemetry,
 		InterruptAt:   opt.InterruptAt,
-	}, func(_ int, start time.Duration) probe.Conn {
-		nv := v.v.Clone(camp.Epoch() + start)
-		clones = append(clones, nv)
-		return nv
-	})
+	}, r.shardConns(func() time.Duration { return camp.Epoch() }))
 	if err != nil {
 		return nil, err
 	}
-	store, astats, err := camp.Run()
+	return r.finish(camp, info.Proto)
+}
+
+// facadeRun carries one campaign run through the facade, from its
+// connection factory to its Result.
+type facadeRun struct {
+	v         *Vantage
+	reg       *TelemetryRegistry
+	vsBefore  netsim.VantageStats
+	simBefore netsim.SimStats
+	// epoch is the run's origin on the vantage timeline, set when its
+	// shards probe clones; nil when a lone shard probes the vantage's
+	// own connection.
+	epoch    func() time.Duration
+	clones   []*netsim.Vantage
+	builders []*graph.Graph // per-shard streaming graphs (YarrpOptions.Graph)
+}
+
+// beginRun snapshots the counters a run's Result reports deltas of.
+func (v *Vantage) beginRun(reg *TelemetryRegistry) *facadeRun {
+	r := &facadeRun{v: v, reg: reg, vsBefore: v.v.Stats}
+	if reg != nil {
+		r.simBefore = v.in.u.StatsSnapshot()
+	}
+	return r
+}
+
+// shardConns starts a shard group on the vantage and returns the run's
+// connection factory: every shard probes a private clone opened at
+// epoch() plus its window start, collected for the plan-cache counters.
+// Resumed runs read epoch from the artifact, fresh ones pin the
+// vantage timeline.
+func (r *facadeRun) shardConns(epoch func() time.Duration) core.ConnFactory {
+	r.epoch = epoch
+	r.v.v.BeginShardGroup()
+	return func(_ int, start time.Duration) probe.Conn {
+		nv := r.v.v.Clone(epoch() + start)
+		r.clones = append(r.clones, nv)
+		return nv
+	}
+}
+
+// engine is the campaign behind a facade run: a core.Campaign or a
+// core.AdaptiveCampaign, fresh or resumed.
+type engine interface {
+	Checkpoint() ([]byte, error)
+}
+
+// finish is the one epilogue of every facade run. It runs the engine
+// (an interrupt yields a partial Result carrying the resume artifact
+// and an error wrapping ErrInterrupted), advances the vantage timeline,
+// and builds the Result with its plan-cache counters and telemetry.
+func (r *facadeRun) finish(eng engine, proto uint8) (*Result, error) {
+	var (
+		store  *probe.Store
+		st     core.CampaignStats
+		epochs []core.EpochStats
+		err    error
+	)
+	switch e := eng.(type) {
+	case *core.Campaign:
+		store, st, err = e.Run()
+	case *core.AdaptiveCampaign:
+		var as core.AdaptiveStats
+		store, as, err = e.Run()
+		st.Stats, epochs = as.Stats, as.Epochs
+	}
 	interrupted := errors.Is(err, core.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, err
 	}
-	v.v.Sleep(astats.Elapsed)
-	v.clk = camp.Epoch() + astats.Elapsed
-	res := v.adaptiveResult(store, astats, info.Proto)
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
+	v := r.v
+	if r.epoch == nil {
+		v.clk = v.v.Now()
+	} else {
+		// Clones left the vantage's own connection idle; advance it
+		// through the run so follow-up operations on this vantage see
+		// the same virtual time at any shard count. The facade timeline
+		// advances from the run's own origin — never from another
+		// vantage's concurrent activity on the shared clock.
+		v.v.Sleep(st.Elapsed)
+		v.clk = r.epoch() + st.Elapsed
+	}
+	res := &Result{
+		ProbesSent:  st.ProbesSent,
+		Fills:       st.Fills,
+		Replies:     st.Replies,
+		Elapsed:     st.Elapsed,
+		Curve:       st.Curve,
+		ShardStats:  st.PerShard,
+		Progress:    st.Progress,
+		Quarantined: st.Quarantined,
+		Incomplete:  st.Incomplete,
+		Epochs:      epochs,
+		store:       store,
+		vantage:     v.v.Name(),
+		proto:       proto,
+	}
+	if len(r.builders) == 1 {
+		res.graph = r.builders[0] // a union of one graph would only copy it
+	} else if r.builders != nil {
+		res.graph = graph.Union(r.builders...)
+	}
+	res.setPlanStats(v, r.vsBefore, r.clones)
+	if r.reg != nil {
+		v.publishRunTelemetry(r.reg, r.simBefore, res)
+		res.Telemetry = r.reg.Snapshot()
 	}
 	if interrupted {
-		art, cerr := camp.Checkpoint()
+		art, cerr := eng.Checkpoint()
 		if cerr != nil {
 			return nil, cerr
 		}
 		res.Checkpoint = art
-		return res, err
 	}
-	return res, nil
-}
-
-// adaptiveResult assembles a Result from an adaptive run's merged store
-// and statistics.
-func (v *Vantage) adaptiveResult(store *probe.Store, astats core.AdaptiveStats, proto uint8) *Result {
-	return &Result{
-		ProbesSent: astats.ProbesSent,
-		Fills:      astats.Fills,
-		Replies:    astats.Replies,
-		Elapsed:    astats.Elapsed,
-		Curve:      astats.Curve,
-		Epochs:     astats.Epochs,
-		store:      store,
-		vantage:    v.v.Name(),
-		proto:      proto,
-	}
+	return res, err
 }
 
 // adaptiveAliasHook builds the between-epoch alias-detection hook:

@@ -205,7 +205,7 @@ func TestFacadeShardedCampaignMatches(t *testing.T) {
 	if !sharded.Store().Equal(single.Store()) {
 		t.Fatal("sharded store differs from single-instance store")
 	}
-	if len(sharded.ShardStats) != 4 || len(single.ShardStats) != 0 {
+	if len(sharded.ShardStats) != 4 || len(single.ShardStats) != 1 {
 		t.Fatalf("shard stats lengths: %d and %d", len(sharded.ShardStats), len(single.ShardStats))
 	}
 	for _, a := range single.Interfaces() {

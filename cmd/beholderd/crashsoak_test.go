@@ -558,6 +558,54 @@ func TestSignalDrain(t *testing.T) {
 	p.waitExit()
 }
 
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestSubmitBodyLimit: a /submit body one byte over maxSubmitBytes is
+// refused with 413 Request Entity Too Large, and the daemon keeps
+// serving.
+func TestSubmitBodyLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon")
+	}
+	p := startDaemon(t, filepath.Join(t.TempDir(), "state"))
+	prefix := `{"tenant":"alice","name":"big","targets":[`
+	n := int64(maxSubmitBytes + 1)
+	body := io.LimitReader(io.MultiReader(strings.NewReader(prefix), spaces{}), n)
+	req, err := http.NewRequest(http.MethodPost, p.url("/submit"), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = n
+	resp, err := soakClient.Do(req)
+	if err != nil {
+		p.dumpStderr()
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %s, want 413", resp.Status)
+	}
+	resp, err = soakClient.Get(p.url("/campaigns"))
+	if err != nil {
+		p.dumpStderr()
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/campaigns after oversized submit: %s", resp.Status)
+	}
+	p.drain()
+	p.waitExit()
+}
+
 func TestParseTenantsDuplicate(t *testing.T) {
 	if _, err := parseTenants("alice,bob,alice"); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate tenant accepted: %v", err)

@@ -70,6 +70,14 @@ const (
 	kindDone  = "done"
 )
 
+// HTTP limits. A /submit body carries at most maxSubmitBytes (about
+// 750k explicit targets); a client gets readHeaderTimeout to send its
+// request headers, so idle half-open connections cannot pile up.
+const (
+	maxSubmitBytes    = 32 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
 // campaignReq is the /submit body and the persisted spec format.
 // Targets come either explicit or from the seed-generation pipeline;
 // the persisted copy always pins the resolved target list so recovery
@@ -248,7 +256,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "beholderd: %d tenant(s), %d worker(s), serving on http://%s\n", len(tl), *workers, ln.Addr())
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
@@ -660,8 +668,13 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req campaignReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	if _, err := d.submit(req, nil, true); err != nil {

@@ -200,8 +200,9 @@ func main() {
 
 	cur := make(map[string]Result)
 
-	// Yarrp6 campaign throughput: raw prober packet construction plus
-	// simulator forwarding (mirrors BenchmarkYarrp6Throughput).
+	// Yarrp6 campaign throughput: a 1-shard facade campaign, i.e. prober
+	// packet construction plus simulator forwarding on the campaign
+	// engine (mirrors BenchmarkYarrp6Throughput).
 	thrIn := beholder.NewSmallInternet(5)
 	thrTargets, err := thrIn.TargetSet("caida", 64, "lowbyte1", 0.3)
 	if err != nil {
@@ -225,11 +226,7 @@ func main() {
 	// metrics registry plus a discarded NDJSON progress stream). -check
 	// gates the instrumented run's throughput against the bare one
 	// (-min-telemetry-ratio) and its allocs/probe against the shared
-	// bound, so instrumentation can never quietly tax the hot path. Both
-	// run the campaign engine — telemetry always routes through it (its
-	// sampling grid is what makes progress deterministic), so comparing
-	// against the direct serial loop would charge the engine's routing
-	// cost (gated separately via parallel efficiency) to instrumentation.
+	// bound, so instrumentation can never quietly tax the hot path.
 	campaignFn := func() int64 {
 		thrIn.Reset()
 		v := thrIn.NewVantage("throughput")

@@ -885,8 +885,11 @@ func (s *Supervisor) breakerFailure(j *job) {
 	}
 }
 
-// finalize publishes a job's terminal result and releases its
-// admission reservations.
+// finalize publishes a job's terminal result, releases its admission
+// reservations, and then drops every job reference Status does not
+// read: the caller's Handle now owns the result, and a long-lived
+// supervisor must not pin each finished campaign's targets, stream and
+// last campaign state.
 func (s *Supervisor) finalize(j *job, res *Result) {
 	res.Tenant = j.spec.Tenant
 	res.Campaign = j.spec.Name
@@ -941,6 +944,12 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 	j.h.res = res
 	j.h.mu.Unlock()
 	close(j.h.done)
+
+	s.mu.Lock()
+	j.spec = CampaignSpec{Tenant: j.spec.Tenant, Name: j.spec.Name, Vantage: j.spec.Vantage}
+	j.h, j.st = nil, nil
+	s.mu.Unlock()
+	j.camp.Store(nil)
 }
 
 // protoOf resolves the transport for graph derivation — from the
@@ -975,10 +984,14 @@ func (s *Supervisor) Drain(ctx context.Context) ([]Drained, error) {
 	if s.met.queueDepth != nil {
 		s.met.queueDepth.Set(0)
 	}
+	// Handles are taken under the lock: a live job may finalize, and so
+	// drop its handle, at any moment after it is released.
 	var live []*job
+	var handles []*Handle
 	for _, j := range s.all {
 		if j.state == StateRunning {
 			live = append(live, j)
+			handles = append(handles, j.h)
 		}
 	}
 	s.cond.Broadcast()
@@ -986,23 +999,23 @@ func (s *Supervisor) Drain(ctx context.Context) ([]Drained, error) {
 
 	var out []Drained
 	for _, j := range queued {
+		h := j.h
 		s.finalize(j, &Result{State: StateDrained, Reason: "drained-queued"})
-		out = append(out, Drained{Spec: j.h.Spec()})
+		out = append(out, Drained{Spec: h.Spec()})
 	}
 	for _, j := range live {
 		if c := j.camp.Load(); c != nil {
 			c.Interrupt()
 		}
 	}
-	for _, j := range live {
+	for _, h := range handles {
 		select {
-		case <-j.h.Done():
+		case <-h.Done():
 		case <-ctx.Done():
 			return out, ctx.Err()
 		}
-		if res := j.h.Result(); res.State == StateDrained && res.Artifact != nil {
-			sp := j.h.Spec()
-			out = append(out, Drained{Spec: sp, Artifact: res.Artifact})
+		if res := h.Result(); res.State == StateDrained && res.Artifact != nil {
+			out = append(out, Drained{Spec: h.Spec(), Artifact: res.Artifact})
 		}
 	}
 

@@ -3,8 +3,10 @@ package sched
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -541,4 +543,60 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker after trial = %v", st)
 	}
 	drainAll(t, s)
+}
+
+// TestFinishedJobsReleased: once a campaign's terminal result is
+// delivered, the supervisor keeps only what Status reports — no
+// campaign, handle, stream, or target list — so a long-lived
+// supervisor does not pin every finished campaign's memory, while
+// Status and the caller's handles read exactly as before.
+func TestFinishedJobsReleased(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 4409
+	env := newTestEnv(seed, nil)
+	targets := schedTargets(seed, 8)
+	s, err := New(Config{Opener: env.opener, Workers: 2, Tenants: []Tenant{{Name: "alpha"}, {Name: "beta"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []*Handle
+	var want []CampaignStatus
+	for i, name := range []string{"c0", "c1", "c2", "c3", "c4", "c5"} {
+		tenant := []string{"alpha", "beta"}[i%2]
+		sp := testSpec(tenant, name, targets)
+		sp.Stream = io.Discard
+		h, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+		want = append(want, CampaignStatus{Tenant: tenant, Campaign: name, Vantage: "US-EDU-1", State: StateCompleted})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, h := range handles {
+		res, err := h.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != StateCompleted || res.Store == nil || res.Graph == nil {
+			t.Fatalf("%s: state %v, store %v, graph %v", res.Campaign, res.State, res.Store != nil, res.Graph != nil)
+		}
+	}
+	// Drain joins the workers, so every finalize has run to its end.
+	drainAll(t, s)
+	if got := s.Status(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("status after release:\n got  %+v\n want %+v", got, want)
+	}
+	for _, j := range s.all {
+		if j.camp.Load() != nil || j.h != nil || j.st != nil || j.spec.Targets != nil || j.spec.Stream != nil {
+			t.Fatalf("finished job %s still holds campaign %v, handle %v, stream %v, %d targets",
+				j.spec.Name, j.camp.Load() != nil, j.h != nil, j.st != nil, len(j.spec.Targets))
+		}
+	}
+	for _, h := range handles {
+		if len(h.Spec().Targets) != len(targets) || h.Result().Store == nil {
+			t.Fatal("caller's handle lost its spec or result")
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // Handler returns an http.Handler exposing the registry:
@@ -32,6 +33,10 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle half-open connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve listens on addr and serves Handler(r) until the process exits or
 // the listener fails. It returns the bound listener address (useful with
 // ":0") or an error if the listen fails; serving happens on a background
@@ -42,7 +47,7 @@ func Serve(addr string, r *Registry) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln)
 	return ln.Addr(), nil
 }
