@@ -576,6 +576,7 @@ func TestSubmitBodyLimit(t *testing.T) {
 		t.Skip("spawns a real daemon")
 	}
 	p := startDaemon(t, filepath.Join(t.TempDir(), "state"))
+	t.Cleanup(p.kill) // reaps the daemon when an assertion fails first
 	prefix := `{"tenant":"alice","name":"big","targets":[`
 	n := int64(maxSubmitBytes + 1)
 	body := io.LimitReader(io.MultiReader(strings.NewReader(prefix), spaces{}), n)
