@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseReply$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzProbeCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/gen6prob
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # cover writes the aggregate coverage profile and prints the total; CI

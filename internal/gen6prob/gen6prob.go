@@ -38,6 +38,7 @@
 package gen6prob
 
 import (
+	"math/bits"
 	"net/netip"
 	"sort"
 
@@ -111,9 +112,15 @@ func (c *Config) setDefaults() {
 // node is one trie node; children index by the nybble value at the
 // node's depth.
 type node struct {
-	weight   uint64
-	dead     bool // aliased subtree: weight 0, never re-entered
-	spent    bool // /64 already emitted: never sampled again
+	weight uint64
+	dead   bool // aliased subtree: weight 0, never re-entered
+	spent  bool // /64 already emitted: never sampled again
+	// explore memoizes the node's exploration frontier once explored is
+	// set (see Source.frontier). It is a pure function of the node's
+	// path, so it is derived state: never serialized, and recomputed on
+	// the first visit after RestoreState.
+	explored bool
+	explore  uint16
 	children [16]*node
 }
 
@@ -125,6 +132,26 @@ type Source struct {
 	root     *node
 	emitted  map[netip.Addr]struct{}
 	ctr      uint64 // RNG counter; the only sampler state
+
+	// The cluster admission tables: bitsets over cluster indices, words
+	// uint64s per row, built once by New from the immutable cluster list.
+	words int
+	// has rows, indexed [depth][value] for the prefixDepth sampled
+	// depths, hold the clusters whose Mask(depth) contains value: the
+	// exploration frontier is always the observed values, never the
+	// loose wildcard. Exploration under a wildcard would scatter
+	// candidates across unrouted space (random nybbles almost never hit
+	// an advertised prefix); restricting the frontier to observed values
+	// keeps generated prefixes inside the structure the seeds exhibit,
+	// which is 6Gen's tight-mode insight.
+	has []uint64
+	// allow rows, indexed [depth][value] for all nybbleDepth depths, hold
+	// the clusters for which maskAllows(c, depth, value, mode) is true;
+	// in Loose mode they also admit every value at wildcard positions.
+	allow []uint64
+	// active is the set of clusters admitting the path walked so far,
+	// one slice reused by every walk.
+	active []uint64
 }
 
 // Compile-time check: Source streams targets into adaptive campaigns.
@@ -141,6 +168,7 @@ func New(seeds []netip.Addr, cfg Config) *Source {
 		root:     &node{},
 		emitted:  make(map[netip.Addr]struct{}),
 	}
+	s.buildTables()
 	// Density-sorted clusters: rank 0 is densest. Seed weight decays
 	// with rank so the densest regions start with the most probability
 	// mass, mirroring 6Gen's enumeration order.
@@ -170,19 +198,81 @@ func New(seeds []netip.Addr, cfg Config) *Source {
 	return s
 }
 
-// clusterOf returns the first (densest) cluster whose pattern covers a.
-func (s *Source) clusterOf(a netip.Addr) *sixgen.Cluster {
-	nyb := sixgen.Nybbles(a)
-	for _, c := range s.clusters {
-		ok := true
-		for i, v := range nyb {
-			if !maskAllows(c, i, v, s.cfg.Cluster.Mode) {
-				ok = false
+// buildTables fills the has and allow rows from the cluster list.
+func (s *Source) buildTables() {
+	s.words = (len(s.clusters) + 63) / 64
+	s.has = make([]uint64, prefixDepth*16*s.words)
+	s.allow = make([]uint64, nybbleDepth*16*s.words)
+	s.active = make([]uint64, s.words)
+	mode := s.cfg.Cluster.Mode
+	for ci, c := range s.clusters {
+		w, bit := ci/64, uint64(1)<<(ci%64)
+		for d := 0; d < nybbleDepth; d++ {
+			for v := uint8(0); v < 16; v++ {
+				if d < prefixDepth && c.Mask(d)&(1<<v) != 0 {
+					s.row(s.has, d, v)[w] |= bit
+				}
+				if maskAllows(c, d, v, mode) {
+					s.row(s.allow, d, v)[w] |= bit
+				}
+			}
+		}
+	}
+}
+
+// row returns table t's bitset for nybble value v at depth d.
+func (s *Source) row(t []uint64, d int, v uint8) []uint64 {
+	i := (d*16 + int(v)) * s.words
+	return t[i : i+s.words]
+}
+
+// resetActive admits every cluster: the state at the root.
+func (s *Source) resetActive() {
+	for w := range s.active {
+		s.active[w] = ^uint64(0)
+	}
+	if tail := len(s.clusters) % 64; tail != 0 {
+		s.active[s.words-1] = 1<<tail - 1
+	}
+}
+
+// narrow drops from the active set the clusters that do not admit
+// nybble value v at depth d.
+func (s *Source) narrow(d int, v uint8) {
+	for w, a := range s.row(s.allow, d, v) {
+		s.active[w] &= a
+	}
+}
+
+// frontier returns node n's exploration bitmask at depth d: the values
+// some active cluster (one admitting n's path) observed there. The
+// active set must hold the clusters admitting the walk that reached n.
+func (s *Source) frontier(n *node, d int) uint16 {
+	if n.explored {
+		return n.explore
+	}
+	var explore uint16
+	for v := uint8(0); v < 16; v++ {
+		for w, h := range s.row(s.has, d, v) {
+			if h&s.active[w] != 0 {
+				explore |= 1 << v
 				break
 			}
 		}
-		if ok {
-			return c
+	}
+	n.explore, n.explored = explore, true
+	return explore
+}
+
+// clusterOf returns the first (densest) cluster whose pattern covers a.
+func (s *Source) clusterOf(a netip.Addr) *sixgen.Cluster {
+	s.resetActive()
+	for d, v := range sixgen.Nybbles(a) {
+		s.narrow(d, v)
+	}
+	for w, x := range s.active {
+		if x != 0 {
+			return s.clusters[w*64+bits.TrailingZeros64(x)]
 		}
 	}
 	return nil
@@ -193,28 +283,10 @@ func (s *Source) clusterOf(a netip.Addr) *sixgen.Cluster {
 // position where more than one value was observed).
 func maskAllows(c *sixgen.Cluster, i int, v uint8, m sixgen.Mode) bool {
 	mask := c.Mask(i)
-	if m == sixgen.Loose && popcount16(mask) > 1 {
+	if m == sixgen.Loose && bits.OnesCount16(mask) > 1 {
 		return true
 	}
 	return mask&(1<<v) != 0
-}
-
-// clusterMask returns cluster c's exploration bitmask at position i:
-// always the observed values, never the loose wildcard. Exploration
-// under a wildcard would scatter candidates across unrouted space
-// (random nybbles almost never hit an advertised prefix); restricting
-// the frontier to observed values keeps generated prefixes inside the
-// structure the seeds exhibit, which is 6Gen's tight-mode insight.
-func clusterMask(c *sixgen.Cluster, i int) uint16 {
-	return c.Mask(i)
-}
-
-func popcount16(v uint16) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 // insert adds w to every node along a's nybble path, creating nodes as
@@ -275,18 +347,13 @@ func (s *Source) next() uint64 {
 // charted territory, and the low-byte ::1 IID completes the address.
 // ok is false when the walk dead-ends (all weight pruned).
 func (s *Source) sample() (netip.Addr, bool) {
-	// active tracks the clusters whose patterns admit the path chosen so
-	// far; their union mask at each depth is the exploration frontier.
-	active := make([]*sixgen.Cluster, len(s.clusters))
-	copy(active, s.clusters)
-	mode := s.cfg.Cluster.Mode
+	// The active set tracks the clusters whose patterns admit the path
+	// chosen so far; their union mask at each depth is the frontier.
+	s.resetActive()
 	var u ipv6.U128
 	n := s.root
 	for d := 0; d < prefixDepth; d++ {
-		var explore uint16
-		for _, c := range active {
-			explore |= clusterMask(c, d)
-		}
+		explore := s.frontier(n, d)
 		ew := s.exploreWeight(d)
 		var total uint64
 		for v := 0; v < 16; v++ {
@@ -309,14 +376,7 @@ func (s *Source) sample() (netip.Addr, bool) {
 			n.children[pick] = &node{weight: ew}
 		}
 		n = n.children[pick]
-		// Narrow the cluster frontier to patterns admitting the pick.
-		keep := active[:0]
-		for _, c := range active {
-			if maskAllows(c, d, pick, mode) {
-				keep = append(keep, c)
-			}
-		}
-		active = keep
+		s.narrow(d, pick)
 		u.Hi |= uint64(pick) << (60 - 4*d)
 	}
 	u.Lo = 1

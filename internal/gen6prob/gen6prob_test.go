@@ -1,11 +1,18 @@
 package gen6prob
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"beholder/internal/core"
 	"beholder/internal/probe"
+	"beholder/internal/sixgen"
 )
 
 // twoRegionSeeds builds two equally-sized seed regions: eight observed
@@ -269,4 +276,198 @@ func TestAliasCandidates(t *testing.T) {
 	if AliasCandidates(nil, 1) != nil || AliasCandidates(st, 0) != nil {
 		t.Fatal("degenerate inputs must nominate nothing")
 	}
+}
+
+// refWalk is the sampler's former per-walk linear cluster scan, kept as
+// the reference the has/allow bitsets and the per-node frontier memo
+// are checked against: active lists the indices of the clusters
+// admitting the path so far.
+type refWalk struct {
+	clusters []*sixgen.Cluster
+	mode     sixgen.Mode
+	active   []int
+}
+
+func newRefWalk(s *Source) *refWalk {
+	r := &refWalk{clusters: s.clusters, mode: s.cfg.Cluster.Mode}
+	for i := range s.clusters {
+		r.active = append(r.active, i)
+	}
+	return r
+}
+
+// frontier ORs the observed values at depth d over the active clusters.
+func (r *refWalk) frontier(d int) uint16 {
+	var explore uint16
+	for _, i := range r.active {
+		explore |= r.clusters[i].Mask(d)
+	}
+	return explore
+}
+
+// narrow keeps the active clusters admitting value v at depth d.
+func (r *refWalk) narrow(d int, v uint8) {
+	keep := r.active[:0]
+	for _, i := range r.active {
+		if maskAllows(r.clusters[i], d, v, r.mode) {
+			keep = append(keep, i)
+		}
+	}
+	r.active = keep
+}
+
+// bitset renders the active list in the tables' word layout.
+func (r *refWalk) bitset(words int) []uint64 {
+	out := make([]uint64, words)
+	for _, i := range r.active {
+		out[i/64] |= 1 << (i % 64)
+	}
+	return out
+}
+
+// refClusterOf is New's former linear admission scan.
+func refClusterOf(s *Source, a netip.Addr) *sixgen.Cluster {
+	r := newRefWalk(s)
+	for d, v := range sixgen.Nybbles(a) {
+		r.narrow(d, v)
+	}
+	if len(r.active) == 0 {
+		return nil
+	}
+	return s.clusters[r.active[0]]
+}
+
+// seedsWithClusters returns the shortest sorted prefix of a synthetic
+// seed list that forms exactly want clusters. Clustering is greedy
+// over sorted seeds, so a sorted prefix's clusters are the full list's
+// leading clusters and each added seed adds at most one.
+func seedsWithClusters(t *testing.T, want int, seed int64, cc sixgen.Config) []netip.Addr {
+	t.Helper()
+	seeds := synthSeeds(8*want, want, seed)
+	sort.Slice(seeds, func(i, j int) bool { return seeds[i].Less(seeds[j]) })
+	for n := want; n <= len(seeds); n++ {
+		if len(sixgen.Clusters(seeds[:n], cc)) == want {
+			return seeds[:n]
+		}
+	}
+	t.Fatalf("no seed prefix forms exactly %d clusters", want)
+	return nil
+}
+
+// checkWalks runs random walks from the root and asserts, at every
+// depth, that the memoized or freshly computed frontier and the active
+// bitset equal the linear-scan reference. Walks favour existing
+// children and frontier values so they follow clusters deep into the
+// trie, and create nodes where they leave it.
+func checkWalks(t *testing.T, s *Source, rng *rand.Rand, walks int) {
+	t.Helper()
+	for w := 0; w < walks; w++ {
+		ref := newRefWalk(s)
+		s.resetActive()
+		n := s.root
+		for d := 0; d < prefixDepth; d++ {
+			got, want := s.frontier(n, d), ref.frontier(d)
+			if got != want {
+				t.Fatalf("walk %d depth %d: frontier %016b, reference %016b", w, d, got, want)
+			}
+			if wantSet := ref.bitset(s.words); !slices.Equal(s.active, wantSet) {
+				t.Fatalf("walk %d depth %d: active %x, reference %x", w, d, s.active, wantSet)
+			}
+			var kids []uint8
+			for v, c := range n.children {
+				if c != nil {
+					kids = append(kids, uint8(v))
+				}
+			}
+			pick := uint8(rng.Intn(16))
+			switch {
+			case len(kids) > 0 && rng.Intn(2) == 0:
+				pick = kids[rng.Intn(len(kids))]
+			case want != 0 && rng.Intn(4) != 0:
+				for want&(1<<pick) == 0 {
+					pick = uint8(rng.Intn(16))
+				}
+			}
+			if n.children[pick] == nil {
+				n.children[pick] = &node{}
+			}
+			n = n.children[pick]
+			s.narrow(d, pick)
+			ref.narrow(d, pick)
+		}
+	}
+}
+
+// TestFrontierMatchesReference: the cluster bitsets and per-node memo
+// reproduce the linear scan at word boundaries (63, 64, 65 and 129
+// clusters) in both modes — on nodes New's seed insertion and reward
+// insertTo created, on nodes sampling memoized, and on a trie rebuilt
+// by RestoreState, whose memo starts empty — and clusterOf picks the
+// same cluster as the linear admission scan.
+func TestFrontierMatchesReference(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz > 144 {
+		t.Fatalf("node is %d bytes; it must stay in the 144-byte size class", sz)
+	}
+	modes := map[string]sixgen.Config{
+		"tight": {Mode: sixgen.Tight, MaxClusterSpan: 4096},
+		"loose": {Mode: sixgen.Loose},
+	}
+	for name, cc := range modes {
+		for _, want := range []int{63, 64, 65, 129} {
+			t.Run(fmt.Sprintf("%s/%d", name, want), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(want)))
+				seeds := seedsWithClusters(t, want, int64(want), cc)
+				cfg := Config{Key: uint64(want), Cluster: cc}
+				s := New(seeds, cfg)
+				if len(s.clusters) != want {
+					t.Fatalf("%d clusters, want %d", len(s.clusters), want)
+				}
+				for _, a := range seeds {
+					if got, ref := s.clusterOf(a), refClusterOf(s, a); got != ref {
+						t.Fatalf("clusterOf(%v) differs from the linear scan", a)
+					}
+				}
+				for i := 0; i < 20; i++ {
+					s.insertTo(seeds[rng.Intn(len(seeds))], 64, s.cfg.RewardDepth)
+				}
+				s.NextEpoch(0, 40, nil)
+				checkWalks(t, s, rng, 200)
+
+				r := New(seeds, cfg)
+				if err := r.RestoreState(s.AppendState(nil)); err != nil {
+					t.Fatal(err)
+				}
+				checkWalks(t, r, rng, 200)
+			})
+		}
+	}
+}
+
+// FuzzRestoreState: generation state arrives inside checkpoint
+// artifacts, so the decoder faces arbitrary bytes. A blob that restores
+// must re-serialize byte-identically (the decoder accepts only the
+// canonical encoding), and sampling from the restored trie must not
+// panic.
+func FuzzRestoreState(f *testing.F) {
+	seeds := twoRegionSeeds()
+	s := New(seeds, Config{Key: 2})
+	f.Add(s.AppendState(nil))
+	s.NextEpoch(0, 6, &core.Feedback{Aliased: []netip.Prefix{netip.MustParsePrefix("2001:db8:b:3::/64")}})
+	valid := s.AppendState(nil)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x02
+	f.Add(flipped)
+	f.Add([]byte(stateMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := New(seeds, Config{Key: 2})
+		if err := r.RestoreState(data); err != nil {
+			return
+		}
+		if again := r.AppendState(nil); !bytes.Equal(again, data) {
+			t.Fatalf("restored state re-serializes differently:\n in  %x\n out %x", data, again)
+		}
+		r.NextEpoch(1, 8, nil)
+	})
 }

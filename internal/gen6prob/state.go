@@ -83,14 +83,20 @@ func (s *Source) RestoreState(data []byte) error {
 		return fmt.Errorf("gen6prob: implausible emitted count %d", nEmit)
 	}
 	emitted := make(map[netip.Addr]struct{}, nEmit)
+	var prev netip.Addr
 	for i := uint32(0); i < nEmit; i++ {
 		raw, err := r.take(16)
 		if err != nil {
 			return err
 		}
-		var a16 [16]byte
-		copy(a16[:], raw)
-		emitted[netip.AddrFrom16(a16)] = struct{}{}
+		a := netip.AddrFrom16([16]byte(raw))
+		// AppendState writes the set strictly ascending; anything else
+		// is not a blob it wrote.
+		if i > 0 && !prev.Less(a) {
+			return fmt.Errorf("gen6prob: emitted set not strictly ascending at %v", a)
+		}
+		emitted[a] = struct{}{}
+		prev = a
 	}
 	root, err := readNode(&r, 0)
 	if err != nil {
@@ -117,6 +123,9 @@ func readNode(r *stateReader, depth int) (*node, error) {
 	flags, err := r.u8()
 	if err != nil {
 		return nil, err
+	}
+	if flags&^3 != 0 {
+		return nil, fmt.Errorf("gen6prob: unknown node flags %#x", flags)
 	}
 	n.dead = flags&1 != 0
 	n.spent = flags&2 != 0
