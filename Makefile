@@ -5,9 +5,10 @@ GO ?= go
 .PHONY: test race bench bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak perfbench-test
 
 # chaos runs the fault-injection matrix, checkpoint/resume equivalence,
-# and cancellation tests under the race detector.
+# cancellation, the per-probe reference-loop check and the neighborhood
+# heuristic tests under the race detector.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel' ./internal/core
+	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel|SerialOracle|Neighborhood' ./internal/core
 
 # soak runs the multi-tenant scheduler chaos harness under the race
 # detector: concurrent tenant campaigns under injected crash/stall/

@@ -56,7 +56,8 @@ func batchCampaign(t *testing.T, seed int64, targets []netip.Addr, shards, batch
 // every (shards, batch-size) cell — including batch sizes that do not
 // divide the shard windows — the merged store, the canonical graph
 // export, the NDJSON progress stream, and the campaign counters are
-// byte-identical to the serial (1-shard, batch-1) run. Batch size
+// byte-identical to the serial (1-shard, batch-1) run, which
+// TestRunMatchesSerialOracle pins to the per-probe loop. Batch size
 // changes how probes are dispatched, never the virtual schedule; shard
 // count changes who samples, never what the samples say. The -race CI
 // job runs this matrix too.

@@ -62,7 +62,8 @@ import (
 // Campaign.Run invokes the factory serially, before any shard starts —
 // and again, still serially, when building recovery connections for a
 // quarantined shard's remaining range (then with shard numbers past the
-// configured shard count).
+// configured shard count). The connection must implement
+// probe.BatchConn; Run rejects one that does not.
 type ConnFactory func(shard int, start time.Duration) probe.Conn
 
 // CampaignConfig parameterizes a sharded campaign.
@@ -260,50 +261,18 @@ func (c *Campaign) primeGroup(tmpl *probe.TmplStore) {
 	} else {
 		codec.SetProbeCache(tmplCacheSize(len(cfg.Targets)))
 	}
-	nt := uint64(len(cfg.Targets))
-	pkt := make([]byte, 128)
+	// Replay the prefix once, snapshotting the bucket state as the
+	// replay reaches each lower shard's window start.
 	blobs := make([][]byte, len(cands)-1)
-	// Flow tokens, dense by target index: each target's flow is
-	// registered once from its first replayed probe, and the remaining
-	// ~TTL-span probes of the flow replay through the token — skipping
-	// the per-probe packet build and decode that dominate full Prime.
-	toks := make([]int, len(cfg.Targets))
-	for i := range toks {
-		toks[i] = -1
-	}
 	pr.BeginPrime()
-	it := p.Resume(0)
-	k := 0
-	for {
-		for k < len(blobs) && it.Pos() == cands[k].lo {
-			blobs[k] = exp.ExportSimState(nil)
-			k++
-		}
-		if it.Pos() >= last.lo {
-			break
-		}
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		at := base + time.Duration(it.Pos()-1)*c.gap
-		ti := v % nt
-		ttl := cfg.MinTTL + uint8(v/nt)
-		if toks[ti] < 0 {
-			n := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at)
-			t, err := pr.PrimeFlow(pkt[:n])
-			if err != nil {
-				continue
-			}
-			toks[ti] = t
-		}
-		pr.PrimeIdx(toks[ti], ttl, at)
+	replayTo := prefixReplayer(pr, codec, cfg, p, base, c.gap)
+	for i, ss := range cands[:len(blobs)] {
+		replayTo(ss.lo)
+		blobs[i] = exp.ExportSimState(nil)
 	}
+	replayTo(last.lo)
 	pr.EndPrime()
 	for i, ss := range cands[:len(blobs)] {
-		if blobs[i] == nil {
-			continue
-		}
 		if err := ss.conn.(probe.SimStateCheckpointer).ImportSimState(blobs[i]); err != nil {
 			continue // the shard's own Run replays the prefix instead
 		}
@@ -327,11 +296,11 @@ func (c *Campaign) Epoch() time.Duration { return c.epoch }
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every
-// shard prober bumps each time it polls its stop conditions (per probe
-// on the serial path, per send run batched, per drain iteration). A
-// running campaign's Beat advances continuously in wall time; a value
-// that stops moving means every shard is wedged or finished. Safe to
-// read concurrently with the run.
+// shard prober bumps each time it polls its stop conditions (per send
+// run while probing, per iteration in the drain tail). A running
+// campaign's Beat advances continuously in wall time; a value that
+// stops moving means every shard is wedged or finished. Safe to read
+// concurrently with the run.
 func (c *Campaign) Beat() int64 { return c.beat.Load() }
 
 // Proto returns the campaign's transport protocol — for resumed
@@ -472,6 +441,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			conn = rsh.conn
 		} else {
 			conn = c.connOf(s, start)
+		}
+		if _, ok := conn.(probe.BatchConn); !ok {
+			return nil, CampaignStats{}, fmt.Errorf("yarrp6: shard %d connection %T does not implement probe.BatchConn", s, conn)
 		}
 		if s == 0 && c.res == nil {
 			// Shard 0's window opens at offset zero, so its connection's

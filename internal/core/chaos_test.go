@@ -220,9 +220,23 @@ func TestCampaignChaosMatrix(t *testing.T) {
 		fc := &faultsim.Config{Seed: 0xc4a05, Rules: sc.rules}
 		t.Run(sc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
+				var serial chaosOut
 				for _, batch := range []int{1, 64} {
 					base := chaosRun(t, seed, fc, targets, shards, batch, 0)
 					sc.check(t, base)
+					// Batch size is a dispatch detail even under faults:
+					// the batch-64 run must reproduce the batch-1 run.
+					if batch == 1 {
+						serial = base
+					} else if !base.store.Equal(serial.store) || !bytes.Equal(base.graph, serial.graph) ||
+						!bytes.Equal(base.progress, serial.progress) ||
+						base.stats.ProbesSent != serial.stats.ProbesSent || base.stats.Fills != serial.stats.Fills ||
+						base.stats.Replies != serial.stats.Replies || base.stats.Retries != serial.stats.Retries {
+						b, s := base.stats, serial.stats
+						t.Errorf("%s shards=%d: batch %d run differs from batch 1: probes/fills/replies/retries %d/%d/%d/%d vs %d/%d/%d/%d",
+							sc.name, shards, batch, b.ProbesSent, b.Fills, b.Replies, b.Retries,
+							s.ProbesSent, s.Fills, s.Replies, s.Retries)
+					}
 					resumed := chaosRun(t, seed, fc, targets, shards, batch, sc.interruptAt)
 					label := sc.name
 					if !resumed.store.Equal(base.store) {

@@ -100,8 +100,10 @@ func satInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards, 
 // test: with router token buckets exhausted mid-run, every (shards,
 // batch) cell — uninterrupted, and interrupted both mid-send and in the
 // drain tail with a resume on a fresh universe — must stay
-// byte-identical to the serial reference in store, graph export,
-// progress stream, merged curve, and counters. This is the matrix that
+// byte-identical to the serial (1-shard, batch-1) reference in store,
+// graph export, progress stream, merged curve, and counters; that
+// reference is itself pinned to the per-probe loop by
+// TestRunMatchesSerialOracle. This is the matrix that
 // used to carry the "a few extra replies near shard-window starts"
 // caveat: shard clones now open with their buckets primed to the
 // window-start levels, and checkpoints carry the bucket state across

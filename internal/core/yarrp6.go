@@ -58,14 +58,13 @@ type Config struct {
 	// still counts from the connection's current time.
 	PermStart, PermEnd uint64
 	// Batch is the send-batch size: how many probes are built and
-	// handed to the connection per batch call when it supports batching
-	// (probe.BatchConn). Batching changes only how probes are
-	// processed, never the virtual schedule — every probe departs at
-	// the same instant, every reply is drained at the same instant, and
-	// all results are byte-identical at any batch size. Zero selects
-	// DefaultBatch; values below one (and connections without batch
-	// support, and runs using the neighborhood heuristic, whose skip
-	// decisions are taken per probe instant) degrade to one probe per
+	// handed to the connection (a probe.BatchConn) per SendBatch call.
+	// Batching changes only how probes are processed, never the virtual
+	// schedule — every probe departs at the same instant, every reply is
+	// drained at the same instant, and all results are byte-identical at
+	// any batch size, send faults included. Zero selects DefaultBatch;
+	// values below one (and runs using the neighborhood heuristic, whose
+	// skip decisions are taken per probe instant) send one probe per
 	// call.
 	Batch int
 	// Fill enables fill mode: a response from hop h >= MaxTTL triggers
@@ -198,9 +197,10 @@ type Stats struct {
 // first (ResumeState), so the run can be checkpointed and continued.
 var ErrInterrupted = errors.New("yarrp6: interrupted")
 
-// retryMax bounds consecutive transient send failures: each failure
-// backs off one send slot and rebuilds the unsent probes for their
-// shifted instants; one more failure past the bound fails the shard.
+// retryMax bounds consecutive transient send failures of one probe:
+// each failure backs off one send slot, drains, and rebuilds the unsent
+// probes for their shifted instants; one more failure past the bound
+// fails the shard.
 const retryMax = 3
 
 // pendingReply is one undelivered in-flight reply captured at an
@@ -255,9 +255,8 @@ type CurvePoint struct {
 }
 
 // DefaultBatch is the send-batch size used when Config.Batch is zero:
-// probes are built and routed DefaultBatch at a time through
-// batch-capable connections, amortizing per-probe dispatch without
-// changing the virtual schedule.
+// probes are built and routed DefaultBatch at a time, amortizing
+// per-probe dispatch without changing the virtual schedule.
 const DefaultBatch = 64
 
 // probeStride is the per-slot width of the batched send ring; the
@@ -273,12 +272,10 @@ type Yarrp6 struct {
 	cfg   Config
 	codec *probe.Codec
 
-	// bc is the connection's batched fast path, nil when the connection
-	// only implements the single-packet contract.
+	// bc is the connection's batched interface, resolved by Run.
 	bc probe.BatchConn
 
-	pkt  []byte
-	rbuf []byte
+	pkt []byte
 
 	// Batched-pipeline state: idx is the permutation index buffer
 	// NextBatch fills, ring backs one pre-built packet per batch slot,
@@ -401,8 +398,8 @@ func (y *Yarrp6) recordSample(at time.Duration) {
 func (y *Yarrp6) stopNow() bool {
 	if y.cfg.pulse != nil {
 		// One heartbeat per stop poll covers every loop at a single
-		// touchpoint: per probe on the serial path, per send run on the
-		// batched path, per iteration in the drain tail.
+		// touchpoint: per send run in the probing loop, per iteration in
+		// the drain tail.
 		y.cfg.pulse.Add(1)
 	}
 	if y.cfg.interruptAt > 0 && y.conn.Now() >= y.cfg.interruptAt {
@@ -472,7 +469,6 @@ func New(conn probe.Conn, cfg Config) *Yarrp6 {
 		conn: conn,
 		cfg:  cfg,
 		pkt:  make([]byte, 128),
-		rbuf: make([]byte, wire.MinMTU),
 	}
 }
 
@@ -517,6 +513,7 @@ func (y *Yarrp6) buildProbe(buf []byte, target netip.Addr, ttl uint8) int {
 }
 
 // Run executes the campaign, folding every recovered reply into store.
+// The connection must implement probe.BatchConn.
 //
 // The inner loop is batched: permutation indices are drawn Batch at a
 // time, the probes for a batch are pre-built into a packet ring — each
@@ -524,11 +521,16 @@ func (y *Yarrp6) buildProbe(buf []byte, target netip.Addr, ttl uint8) int {
 // to the connection in one BatchConn.SendBatch call, which paces the
 // packets internally and stops early the moment a reply becomes
 // deliverable so the drain happens at exactly the instant a per-probe
-// loop would have drained. Batching therefore changes dispatch counts
-// only; the virtual schedule — send times, drain times, fill times,
-// curve samples — is identical at every batch size, and identical to
-// the historical one-probe-per-iteration loop.
+// Send/Sleep/Recv loop would have drained. Batching therefore changes
+// dispatch counts only; the virtual schedule — send times, drain
+// times, fill times, retries, curve samples — is identical at every
+// batch size, batch 1 included.
 func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
+	bc, ok := y.conn.(probe.BatchConn)
+	if !ok {
+		return Stats{}, fmt.Errorf("yarrp6: connection %T does not implement probe.BatchConn", y.conn)
+	}
+	y.bc = bc
 	if err := y.initCodec(); err != nil {
 		return Stats{}, err
 	}
@@ -628,27 +630,16 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		y.primeBuckets(p, start, y.conn.Now()-time.Duration(start)*gap, gap)
 	}
 
-	y.bc, _ = y.conn.(probe.BatchConn)
-	if y.bc != nil {
-		// Batched sends may defer shared-counter updates; publish exact
-		// totals on every exit path so post-run readers see them.
-		defer y.bc.FlushStats()
-	}
+	// Batched sends may defer shared-counter updates; publish exact
+	// totals on every exit path so post-run readers see them.
+	defer y.bc.FlushStats()
 	batch := cfg.Batch
-	if y.bc == nil || cfg.NeighborhoodWindow > 0 {
-		// The fallback shim sends one packet per call anyway, and the
-		// neighborhood heuristic's skip decision must be taken at each
-		// probe's own instant against drain-fresh state.
+	if cfg.NeighborhoodWindow > 0 {
+		// The neighborhood heuristic's skip decision must be taken at
+		// each probe's own instant against drain-fresh state.
 		batch = 1
 	}
-
-	it := p.Resume(iterStart)
-	if batch > 1 {
-		err = y.runBatched(store, it, end, gap, batch, curveStep, &nextCurve)
-	} else {
-		err = y.runSerial(store, it, end, gap, curveStep, &nextCurve)
-	}
-	if err != nil {
+	if err := y.runBatched(store, p.Resume(iterStart), end, gap, batch, curveStep, &nextCurve); err != nil {
 		return y.stats, err
 	}
 	if y.prog != nil {
@@ -662,12 +653,12 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	// schedule on the same virtual instants a longer-running prober
 	// would drain at, so a campaign shard processes its tail replies —
 	// and sends any fill probes they trigger — at exactly the times the
-	// unsharded prober would have. Batch-capable connections expose the
-	// delivery queue, so stretches of virtual time where nothing can
-	// arrive are crossed in one sleep: the clock lands on the same
-	// gap-multiple instants, and every reply is still processed at the
-	// first such instant at or past its delivery time — the stepped
-	// loop's schedule exactly, minus the empty iterations.
+	// unsharded prober would have. The connection exposes its delivery
+	// queue, so stretches of virtual time where nothing can arrive are
+	// crossed in one sleep: the clock lands on the same gap-multiple
+	// instants, and every reply is still processed at the first such
+	// instant at or past its delivery time — the stepped loop's schedule
+	// exactly, minus the empty iterations.
 	deadline := y.conn.Now() + cfg.DrainTimeout
 	if drainDeadline > 0 {
 		// Resumed inside the drain tail: keep the original run's
@@ -689,7 +680,7 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 			return y.stats, ErrInterrupted
 		}
 		steps := int64(1)
-		if y.bc != nil && gap > 0 {
+		if gap > 0 {
 			kmax := int64((deadline - now + gap - 1) / gap)
 			if at, ok := y.bc.NextDeliveryAt(); !ok {
 				steps = kmax
@@ -726,108 +717,72 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 }
 
 // primeBuckets replays the serial probe schedule for permutation
-// indices [0, hi) against the connection's rate-limiter state: every
-// probe preceding this prober's window is rebuilt and evaluated at its
-// original departure instant (base + i×gap), so router token buckets
-// open exactly where the single serial prober would have left them.
-// Connections without prime support (live sockets) skip it — a real
-// network carries its own history. Fill-mode follow-ups and
-// neighborhood skips are not part of the raw schedule the replay
-// covers; see the campaign package comment for what that bounds.
+// indices [0, hi) against the connection's rate-limiter state, so
+// router token buckets open exactly where the single serial prober
+// would have left them. Connections without prime support (live
+// sockets) skip it — a real network carries its own history. Fill-mode
+// follow-ups and neighborhood skips are not part of the raw schedule
+// the replay covers; see the campaign package comment for what that
+// bounds.
 func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base, gap time.Duration) {
 	pr, ok := y.conn.(probe.Primer)
 	if !ok || hi == 0 {
 		return
 	}
-	nt := uint64(len(y.cfg.Targets))
-	toks := make([]int, len(y.cfg.Targets))
+	pr.BeginPrime()
+	defer pr.EndPrime()
+	prefixReplayer(pr, y.codec, &y.cfg, p, base, gap)(hi)
+}
+
+// prefixReplayer returns a function that advances a replay of the
+// serial probe schedule up to (not including) permutation index hi:
+// every probe from index 0 on is evaluated at its original departure
+// instant (base + i×gap) through pr, which the caller holds in priming
+// mode. Each target's flow is registered once, from its first replayed
+// probe, and every further probe of the flow replays by token —
+// skipping the per-probe packet build and decode that dominate full
+// Prime. Successive calls continue where the previous one stopped.
+func prefixReplayer(pr probe.Primer, codec *probe.Codec, cfg *Config, p *perm.Perm, base, gap time.Duration) func(hi uint64) {
+	nt := uint64(len(cfg.Targets))
+	pkt := make([]byte, probeStride)
+	toks := make([]int, len(cfg.Targets))
 	for i := range toks {
 		toks[i] = -1
 	}
-	pr.BeginPrime()
-	defer pr.EndPrime()
 	it := p.Resume(0)
-	for it.Pos() < hi {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		at := base + time.Duration(it.Pos()-1)*gap
-		ti := v % nt
-		ttl := y.cfg.MinTTL + uint8(v/nt)
-		if toks[ti] < 0 {
-			// First replayed probe of this target's flow: register it,
-			// then replay every probe of the flow by token.
-			n := y.codec.BuildProbeAt(y.pkt, y.cfg.Targets[ti], ttl, at)
-			t, err := pr.PrimeFlow(y.pkt[:n])
-			if err != nil {
-				continue
+	return func(hi uint64) {
+		for it.Pos() < hi {
+			v, ok := it.Next()
+			if !ok {
+				return
 			}
-			toks[ti] = t
+			at := base + time.Duration(it.Pos()-1)*gap
+			ti := v % nt
+			ttl := cfg.MinTTL + uint8(v/nt)
+			if toks[ti] < 0 {
+				n := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at)
+				t, err := pr.PrimeFlow(pkt[:n])
+				if err != nil {
+					continue
+				}
+				toks[ti] = t
+			}
+			pr.PrimeIdx(toks[ti], ttl, at)
 		}
-		pr.PrimeIdx(toks[ti], ttl, at)
 	}
 }
 
-// runSerial is the one-probe-per-iteration loop: the path for
-// connections without batch support and for the neighborhood heuristic.
-func (y *Yarrp6) runSerial(store *probe.Store, it *perm.Iterator, end uint64, gap time.Duration, curveStep int64, nextCurve *int64) error {
-	cfg := &y.cfg
-	nt := uint64(len(cfg.Targets))
-	retries := 0
-	for it.Pos() < end {
-		if y.stopNow() {
-			y.capture(it.Pos(), *nextCurve, 0)
-			return ErrInterrupted
-		}
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		target := cfg.Targets[v%nt]
-		ttl := cfg.MinTTL + uint8(v/nt)
-		if y.skipByNeighborhood(ttl) {
-			y.stats.Skipped++
-			continue
-		}
-		for {
-			err := y.sendProbe(target, ttl)
-			if err == nil {
-				retries = 0
-				break
-			}
-			if !probe.IsTransient(err) || retries >= retryMax {
-				y.capture(it.Pos()-1, *nextCurve, 0)
-				return err
-			}
-			// Transient send failure: back off one slot and rebuild at
-			// the new instant (sendProbe stamps at build time).
-			retries++
-			y.stats.Retries++
-			y.conn.Sleep(gap)
-		}
-		y.conn.Sleep(gap)
-		// Empty-queue fast path: when the connection can report that
-		// nothing is queued, the drain costs one predicted branch
-		// instead of a Recv dispatch and heap check.
-		if y.bc == nil || y.bc.Pending() > 0 {
-			y.drainAll(store)
-		}
-		y.recordCurve(store, nextCurve, curveStep)
-		y.maybeSample()
-	}
-	return nil
-}
-
-// runBatched is the batched inner loop over a batch-capable connection.
+// runBatched is the probing loop: it walks the permutation window batch
+// probes at a time through the connection's SendBatch. A batch of one
+// is the per-probe schedule itself, and the only size at which the
+// neighborhood heuristic runs.
 func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, gap time.Duration, batch int, curveStep int64, nextCurve *int64) error {
-	cfg := &y.cfg
 	if len(y.idx) < batch {
 		y.idx = make([]uint64, batch)
 		y.ring = make([]byte, batch*probeStride)
 		y.pkts = make([][]byte, batch)
 	}
-	nt := uint64(len(cfg.Targets))
+	nt := uint64(len(y.cfg.Targets))
 	retries := 0
 	for it.Pos() < end {
 		posBase := it.Pos()
@@ -843,20 +798,18 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 		if n == 0 {
 			break
 		}
+		// A neighborhood-skipped slot spends no clock time; the heuristic
+		// forces batch 1, so the check sees each slot on its own.
+		if y.skipByNeighborhood(y.cfg.MinTTL + uint8(y.idx[0]/nt)) {
+			y.stats.Skipped++
+			continue
+		}
 		// Pre-build the batch, each packet stamped for its own
 		// departure instant. The clock advances by exactly gap per
 		// send — and early-stop drains do not advance it — so the
 		// predicted instants equal the actual ones and the wire bytes
 		// match a build-at-send exactly.
-		t0 := y.conn.Now()
-		for i := 0; i < n; i++ {
-			v := y.idx[i]
-			target := cfg.Targets[v%nt]
-			ttl := cfg.MinTTL + uint8(v/nt)
-			off := i * probeStride
-			m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], target, ttl, t0+time.Duration(i)*gap)
-			y.pkts[i] = y.ring[off : off+m]
-		}
+		y.buildRun(0, n, gap)
 		sent := 0
 		for sent < n {
 			if sent > 0 && y.stopNow() {
@@ -868,7 +821,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			}
 			lim := n
 			// Cap each send run at the next curve threshold so the
-			// sample is taken at exactly the probe count the serial
+			// sample is taken at exactly the probe count a per-probe
 			// loop would have sampled it at (within a run the counter
 			// advances by one per probe — drains, and with them fills,
 			// only happen between runs).
@@ -878,7 +831,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			// Cap likewise at the next progress threshold: the clock is
 			// gap-aligned here and thresholds sit on the grid, so the run
 			// ends exactly on the threshold instant and the sample reads
-			// the same counters the serial loop would have sampled.
+			// the same counters a per-probe loop would have sampled.
 			if y.prog != nil && gap > 0 {
 				if rem := int64((y.nextSample - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					lim = sent + int(rem)
@@ -888,7 +841,8 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			// it, so the interrupted prefix of the schedule matches the
 			// uninterrupted run exactly. An off-grid instant caps the
 			// run mid-slot; the loop-top check then captures before the
-			// next send, which is the same cut a serial loop would make.
+			// next send, which is the same cut a per-probe loop would
+			// make.
 			if y.cfg.interruptAt > 0 && gap > 0 {
 				if rem := int64((y.cfg.interruptAt - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					if rem < 0 {
@@ -910,6 +864,11 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			}
 			y.stats.ProbesSent += int64(m)
 			sent += m
+			if m > 0 {
+				// The retry budget is per probe: a send that got any
+				// packet out starts the next probe's count afresh.
+				retries = 0
+			}
 			if err != nil {
 				if !probe.IsTransient(err) || retries >= retryMax {
 					y.capture(posBase+uint64(sent), *nextCurve, 0)
@@ -922,24 +881,11 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 				retries++
 				y.stats.Retries++
 				y.conn.Sleep(gap)
-				t := y.conn.Now()
-				for i := sent; i < n; i++ {
-					v := y.idx[i]
-					target := cfg.Targets[v%nt]
-					ttl := cfg.MinTTL + uint8(v/nt)
-					off := i * probeStride
-					w := y.codec.BuildProbeAt(y.ring[off:off+probeStride], target, ttl, t+time.Duration(i-sent)*gap)
-					y.pkts[i] = y.ring[off : off+w]
-				}
+				y.buildRun(sent, n, gap)
 				if y.bc.Pending() > 0 {
 					y.drainAll(store)
 				}
-				y.recordCurve(store, nextCurve, curveStep)
-				y.maybeSample()
-				continue
-			}
-			retries = 0
-			if deliverable {
+			} else if deliverable {
 				y.drainAll(store)
 			}
 			y.recordCurve(store, nextCurve, curveStep)
@@ -947,6 +893,21 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 		}
 	}
 	return nil
+}
+
+// buildRun builds the batch's probes [from, n) into the packet ring,
+// the first departing now and each later one gap after its
+// predecessor.
+func (y *Yarrp6) buildRun(from, n int, gap time.Duration) {
+	cfg := &y.cfg
+	nt := uint64(len(cfg.Targets))
+	t := y.conn.Now()
+	for i := from; i < n; i++ {
+		v := y.idx[i]
+		off := i * probeStride
+		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], cfg.Targets[v%nt], cfg.MinTTL+uint8(v/nt), t+time.Duration(i-from)*gap)
+		y.pkts[i] = y.ring[off : off+m]
+	}
 }
 
 // recordCurve appends a discovery-curve sample when the probe counter
@@ -982,38 +943,24 @@ func (y *Yarrp6) sendProbe(target netip.Addr, ttl uint8) error {
 	return nil
 }
 
-// drainAll processes every deliverable reply, recvBatch at a time on
-// batch-capable connections. Replies come out in delivery order either
-// way, and fills triggered while processing schedule strictly future
-// deliveries, so the batched drain folds exactly what the per-reply
-// Recv loop would have folded.
+// drainAll processes every deliverable reply, recvBatch at a time, in
+// delivery order. Fills triggered while processing schedule strictly
+// future deliveries, so they never extend the current drain.
 func (y *Yarrp6) drainAll(store *probe.Store) {
-	if y.bc != nil {
-		if y.rsizes == nil {
-			y.rbatch = make([]byte, recvBatch*wire.MinMTU)
-			y.rsizes = make([]int, recvBatch)
-		}
-		for {
-			n := y.bc.RecvBatch(y.rbatch, y.rsizes)
-			if n == 0 {
-				return
-			}
-			off := 0
-			for i := 0; i < n; i++ {
-				y.handleReply(y.rbatch[off:off+y.rsizes[i]], store)
-				off += y.rsizes[i]
-			}
-			if n < len(y.rsizes) {
-				return
-			}
-		}
+	if y.rsizes == nil {
+		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
+		y.rsizes = make([]int, recvBatch)
 	}
 	for {
-		n, ok := y.conn.Recv(y.rbuf)
-		if !ok {
+		n := y.bc.RecvBatch(y.rbatch, y.rsizes)
+		off := 0
+		for i := 0; i < n; i++ {
+			y.handleReply(y.rbatch[off:off+y.rsizes[i]], store)
+			off += y.rsizes[i]
+		}
+		if n < len(y.rsizes) {
 			return
 		}
-		y.handleReply(y.rbuf[:n], store)
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"beholder/internal/ipv6"
 	"beholder/internal/netsim"
+	"beholder/internal/perm"
 	"beholder/internal/probe"
 	"beholder/internal/wire"
 )
@@ -304,6 +306,129 @@ func TestConfigValidation(t *testing.T) {
 	badProto := Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}, Proto: 99}
 	if _, err := New(v, badProto).Run(probe.NewStore(false)); err == nil {
 		t.Error("unknown transport accepted")
+	}
+	// Hiding the vantage behind the plain Conn interface strips its
+	// batch methods; Yarrp6 requires them.
+	plain := struct{ probe.Conn }{v}
+	good := Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}}
+	if _, err := New(plain, good).Run(probe.NewStore(false)); err == nil {
+		t.Error("connection without batch support accepted")
+	}
+	camp := NewCampaign(CampaignConfig{Config: good}, func(int, time.Duration) probe.Conn { return plain })
+	if _, _, err := camp.Run(); err == nil {
+		t.Error("campaign accepted a connection without batch support")
+	}
+}
+
+// refRunSerial is the per-probe schedule Run must reproduce at every
+// batch size: for each permutation slot one Send, one gap of Sleep and
+// a Recv drain, then a drain tail stepped one gap at a time without
+// fast-forwarding. It shares the prober's codec and reply handling, so
+// fills and the neighborhood heuristic behave as in Run, but has no
+// interrupt, retry, telemetry or progress machinery: the first send
+// error ends it.
+func refRunSerial(y *Yarrp6, store *probe.Store) (Stats, error) {
+	if err := y.initCodec(); err != nil {
+		return Stats{}, err
+	}
+	cfg := &y.cfg
+	domain := Domain(cfg)
+	p, err := perm.New(cfg.Key, domain)
+	if err != nil {
+		return Stats{}, err
+	}
+	gap := time.Duration(float64(time.Second) / cfg.PPS)
+	nt := uint64(len(cfg.Targets))
+	curveStep := int64(domain/128) + 1
+	nextCurve := curveStep
+	rbuf := make([]byte, wire.MinMTU)
+	drain := func() {
+		for {
+			n, ok := y.conn.Recv(rbuf)
+			if !ok {
+				return
+			}
+			y.handleReply(rbuf[:n], store)
+		}
+	}
+	for it := p.Resume(0); it.Pos() < domain; {
+		v, _ := it.Next()
+		ttl := cfg.MinTTL + uint8(v/nt)
+		if y.skipByNeighborhood(ttl) {
+			y.stats.Skipped++
+			continue
+		}
+		if err := y.sendProbe(cfg.Targets[v%nt], ttl); err != nil {
+			return y.stats, err
+		}
+		y.conn.Sleep(gap)
+		drain()
+		if y.stats.ProbesSent >= nextCurve {
+			y.stats.Curve = append(y.stats.Curve, CurvePoint{y.stats.ProbesSent, store.NumInterfaces(), y.conn.Now()})
+			for nextCurve <= y.stats.ProbesSent {
+				nextCurve += curveStep
+			}
+		}
+	}
+	for deadline := y.conn.Now() + cfg.DrainTimeout; y.conn.Now() < deadline; {
+		y.conn.Sleep(gap)
+		drain()
+	}
+	y.stats.Curve = append(y.stats.Curve, CurvePoint{y.stats.ProbesSent, store.NumInterfaces(), y.conn.Now()})
+	y.stats.Elapsed = y.conn.Now() - y.codec.Epoch()
+	y.stats.NotMine = y.codec.NotMine
+	return y.stats, nil
+}
+
+// TestRunMatchesSerialOracle: Run at batch 1, 7 and 64 reproduces the
+// per-probe reference loop in store, counters and discovery curve,
+// fault-free, with fill mode on, on a universe whose ICMPv6 rate
+// limiters saturate — and with the neighborhood heuristic, which runs
+// one probe per call whatever the configured batch.
+func TestRunMatchesSerialOracle(t *testing.T) {
+	const seed = 907
+	u, _ := saturationVantage(seed)
+	targets := gatewayTargets(u, 48, seed)
+	neighborhood := saturationCfg(targets)
+	neighborhood.NeighborhoodWindow = 5 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fill", saturationCfg(targets)},
+		{"neighborhood", neighborhood},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, v := saturationVantage(seed)
+			ref := probe.NewStore(true)
+			want, err := refRunSerial(New(v, tc.cfg), ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u.Stats.RateLimitDropped == 0 || want.Fills == 0 {
+				t.Fatalf("reference run not saturating with fills: %d rate-limit drops, %d fills",
+					u.Stats.RateLimitDropped, want.Fills)
+			}
+			if tc.cfg.NeighborhoodWindow > 0 && want.Skipped == 0 {
+				t.Fatal("reference run never skipped a probe")
+			}
+			for _, batch := range []int{1, 7, 64} {
+				_, v := saturationVantage(seed)
+				cfg := tc.cfg
+				cfg.Batch = batch
+				store := probe.NewStore(true)
+				got, err := New(v, cfg).Run(store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !store.Equal(ref) {
+					t.Errorf("batch %d: store differs from the per-probe reference", batch)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("batch %d: stats differ from the per-probe reference:\ngot:  %+v\nwant: %+v", batch, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -28,11 +28,10 @@ type Conn interface {
 	Sleep(d time.Duration)
 }
 
-// BatchConn is the optional batched extension of Conn (sendmmsg /
-// recvmmsg shaped). netsim.Vantage implements it; a raw-socket
-// implementation would map SendBatch to sendmmsg and RecvBatch to
-// recvmmsg. Probers must not require it — the SendBatch helper degrades
-// to the single-packet Conn contract for connections that lack it.
+// BatchConn is the batched extension of Conn (sendmmsg / recvmmsg
+// shaped). netsim.Vantage implements it; a raw-socket implementation
+// would map SendBatch to sendmmsg and RecvBatch to recvmmsg. Yarrp6
+// requires it; the other probers (trace, alias) use plain Conn.
 type BatchConn interface {
 	Conn
 	// SendBatch transmits pkts in order, advancing the clock by gap
@@ -148,26 +147,6 @@ func unwrap(err error) error {
 		return u.Unwrap()
 	}
 	return nil
-}
-
-// SendBatch sends pkts through c with inter-packet gap pacing: a
-// batch-capable connection processes the whole batch in one call, and
-// any other Conn falls back to a single packet per call (the shim that
-// keeps existing connections working — deliverable is then reported
-// true so the caller drains after every packet, which is precisely the
-// serial schedule).
-func SendBatch(c Conn, pkts [][]byte, gap time.Duration) (sent int, deliverable bool, err error) {
-	if bc, ok := c.(BatchConn); ok {
-		return bc.SendBatch(pkts, gap)
-	}
-	if len(pkts) == 0 {
-		return 0, false, nil
-	}
-	if err := c.Send(pkts[0]); err != nil {
-		return 0, false, err
-	}
-	c.Sleep(gap)
-	return 1, true, nil
 }
 
 // ReplyKind classifies a parsed response.
