@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak perfbench-test
+.PHONY: test race bench bench-smoke bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak perfbench-test
 
 # chaos runs the fault-injection matrix, checkpoint/resume equivalence,
 # cancellation, the per-probe reference-loop check and the neighborhood
@@ -46,6 +46,12 @@ race:
 # recorded PR 3 baseline with the speedup over it.
 bench:
 	$(GO) run ./cmd/bench -benchtime 1.5s -out BENCH_PR8.json
+
+# bench-smoke runs the set-up benchmarks once each (seed-list
+# generation per list, target-set building), so benchmarks that only
+# compile in `go test` cannot rot unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'SeedList|TargetBuild' -benchtime 1x ./internal/seeds .
 
 # bench-check is the CI gate: short-form run that fails when any hot
 # benchmark's steady-state allocs/probe exceeds the bound, when

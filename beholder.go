@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -119,12 +120,12 @@ func (in *Internet) SeedLists(scale float64) map[string]seeds.List {
 
 // TargetSet runs the three-step target generation pipeline for one seed
 // source: seeds → zn prefix transformation → IID synthesis. synth is one
-// of "lowbyte1", "fixediid", "randomiid", "known".
+// of "lowbyte1", "fixediid", "randomiid", "known"; scale must be finite
+// and positive. Only the named seed list is generated, with the contents
+// SeedLists would give it.
 func (in *Internet) TargetSet(seedName string, zn int, synth string, scale float64) ([]netip.Addr, error) {
-	lists := in.SeedLists(scale)
-	list, ok := lists[seedName]
-	if !ok {
-		return nil, fmt.Errorf("beholder: unknown seed list %q", seedName)
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("beholder: seed scale %v must be finite and positive", scale)
 	}
 	var method target.Synth
 	switch synth {
@@ -138,6 +139,10 @@ func (in *Internet) TargetSet(seedName string, zn int, synth string, scale float
 		method = target.Known
 	default:
 		return nil, fmt.Errorf("beholder: unknown synthesis %q", synth)
+	}
+	list, ok := seeds.Generate(in.u, in.seed, seeds.Scale(scale), seedName)
+	if !ok {
+		return nil, fmt.Errorf("beholder: unknown seed list %q", seedName)
 	}
 	rng := rand.New(rand.NewSource(in.seed))
 	set := target.Build(list, target.Spec{SeedName: seedName, ZN: zn, Synth: method}, rng)

@@ -1,6 +1,7 @@
 package beholder
 
 import (
+	"math"
 	"net/netip"
 	"runtime"
 	"strings"
@@ -57,6 +58,11 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := in.TargetSet("caida", 64, "nope", 0.2); err == nil {
 		t.Error("unknown synthesis accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5} {
+		if _, err := in.TargetSet("caida", 64, "lowbyte1", scale); err == nil {
+			t.Errorf("seed scale %v accepted", scale)
+		}
 	}
 	v := in.NewVantage("x")
 	if _, err := v.RunYarrp6([]netip.Addr{}, YarrpOptions{}); err == nil {

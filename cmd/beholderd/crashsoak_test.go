@@ -607,6 +607,46 @@ func TestSubmitBodyLimit(t *testing.T) {
 	p.waitExit()
 }
 
+// TestSubmitScaleLimit: a /submit whose generated target set would be
+// out of bounds ("scale" above maxSubmitScale, or negative) is refused
+// with 400 before any seed list is built, and the daemon keeps serving.
+func TestSubmitScaleLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon")
+	}
+	p := startDaemon(t, filepath.Join(t.TempDir(), "state"))
+	t.Cleanup(p.kill) // reaps the daemon when an assertion fails first
+	for _, body := range []string{
+		`{"tenant":"alice","name":"huge","scale":1e9}`,
+		`{"tenant":"alice","name":"neg","scale":-1}`,
+	} {
+		resp, err := soakClient.Post(p.url("/submit"), "application/json", strings.NewReader(body))
+		if err != nil {
+			p.dumpStderr()
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "scale") {
+			t.Fatalf("submit %s: %s %q, want 400 naming the scale", body, resp.Status, msg)
+		}
+	}
+	resp, err := soakClient.Get(p.url("/campaigns"))
+	if err != nil {
+		p.dumpStderr()
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/campaigns after rejected submits: %s", resp.Status)
+	}
+	if states := p.campaignStates(); len(states) != 0 {
+		t.Fatalf("rejected submits left campaigns: %v", states)
+	}
+	p.drain()
+	p.waitExit()
+}
+
 func TestParseTenantsDuplicate(t *testing.T) {
 	if _, err := parseTenants("alice,bob,alice"); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate tenant accepted: %v", err)

@@ -72,9 +72,13 @@ const (
 
 // HTTP limits. A /submit body carries at most maxSubmitBytes (about
 // 750k explicit targets); a client gets readHeaderTimeout to send its
-// request headers, so idle half-open connections cannot pile up.
+// request headers, so idle half-open connections cannot pile up. A
+// generated target set is held to the same order of size: "scale" may
+// not exceed maxSubmitScale, at which the largest seed list (tum) holds
+// about 626k addresses (1.22M at scale 4).
 const (
 	maxSubmitBytes    = 32 << 20
+	maxSubmitScale    = 2
 	readHeaderTimeout = 10 * time.Second
 )
 
@@ -91,7 +95,7 @@ type campaignReq struct {
 	Seeds string  `json:"seeds,omitempty"` // default caida
 	ZN    int     `json:"zn,omitempty"`    // default 64
 	Synth string  `json:"synth,omitempty"` // default lowbyte1
-	Scale float64 `json:"scale,omitempty"` // default 0.2
+	Scale float64 `json:"scale,omitempty"` // default 0.2, at most maxSubmitScale
 	// Probing options, as in yarrp6.
 	Rate       float64 `json:"rate,omitempty"`
 	MaxTTL     int     `json:"maxttl,omitempty"`
@@ -392,6 +396,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	}
 	if err := validIdent(req.Name); err != nil {
 		return nil, fmt.Errorf("name: %w", err)
+	}
+	if req.Scale < 0 || req.Scale > maxSubmitScale {
+		return nil, fmt.Errorf("scale %v outside [0, %d]", req.Scale, maxSubmitScale)
 	}
 	vname := req.Vantage
 	if vname == "" {

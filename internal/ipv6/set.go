@@ -1,7 +1,9 @@
 package ipv6
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -24,17 +26,11 @@ func NewSet(addrs []netip.Addr) *Set {
 // EmptySet returns a set with no members.
 func EmptySet() *Set { return &Set{} }
 
+// normalize sorts and deduplicates in place. Addresses that compare
+// equal are identical, so the unstable sort fixes the order completely.
 func (s *Set) normalize() {
-	sort.Slice(s.addrs, func(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) })
-	out := s.addrs[:0]
-	var prev netip.Addr
-	for i, a := range s.addrs {
-		if i == 0 || a != prev {
-			out = append(out, a)
-		}
-		prev = a
-	}
-	s.addrs = out
+	slices.SortFunc(s.addrs, netip.Addr.Compare)
+	s.addrs = slices.Compact(s.addrs)
 }
 
 // Len returns the number of addresses in the set.
@@ -148,24 +144,17 @@ func NewPrefixSet(ps []netip.Prefix) *PrefixSet {
 	for i, p := range ps {
 		set.prefixes[i] = CanonicalPrefix(p)
 	}
-	sort.Slice(set.prefixes, func(i, j int) bool { return lessPrefix(set.prefixes[i], set.prefixes[j]) })
-	out := set.prefixes[:0]
-	var prev netip.Prefix
-	for i, p := range set.prefixes {
-		if i == 0 || p != prev {
-			out = append(out, p)
-		}
-		prev = p
-	}
-	set.prefixes = out
+	slices.SortFunc(set.prefixes, comparePrefix)
+	set.prefixes = slices.Compact(set.prefixes)
 	return set
 }
 
-func lessPrefix(a, b netip.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr().Less(b.Addr())
+// comparePrefix orders prefixes by address, then length.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
-	return a.Bits() < b.Bits()
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // Len returns the number of prefixes.
@@ -180,6 +169,6 @@ func (s *PrefixSet) Prefixes() []netip.Prefix { return s.prefixes }
 // Contains reports whether p (canonicalized) is a member.
 func (s *PrefixSet) Contains(p netip.Prefix) bool {
 	p = CanonicalPrefix(p)
-	i := sort.Search(len(s.prefixes), func(i int) bool { return !lessPrefix(s.prefixes[i], p) })
+	i := sort.Search(len(s.prefixes), func(i int) bool { return comparePrefix(s.prefixes[i], p) >= 0 })
 	return i < len(s.prefixes) && s.prefixes[i] == p
 }

@@ -3,6 +3,8 @@ package ipv6
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -141,4 +143,59 @@ func TestSetLargeRandom(t *testing.T) {
 			t.Fatalf("lost member %s", a)
 		}
 	}
+}
+
+// TestNormalizeMatchesReference: NewSet and NewPrefixSet order and
+// deduplicate exactly like a plain sort.Slice followed by a
+// drop-adjacent-duplicates pass, on random inputs dense in duplicates.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		// A small pool makes duplicates common; its members share
+		// high bits so orderings hinge on the low ones too.
+		pool := make([]U128, 1+rng.Intn(40))
+		for i := range pool {
+			pool[i] = U128{0x20010db8<<32 | rng.Uint64()&0xff, rng.Uint64() & 0xffff}
+		}
+		n := rng.Intn(300)
+		addrs := make([]netip.Addr, n)
+		prefixes := make([]netip.Prefix, n)
+		for i := range addrs {
+			addrs[i] = pool[rng.Intn(len(pool))].Addr()
+			prefixes[i] = netip.PrefixFrom(pool[rng.Intn(len(pool))].Addr(), 40+rng.Intn(89))
+		}
+
+		wantAddrs := slices.Clone(addrs)
+		sort.Slice(wantAddrs, func(i, j int) bool { return wantAddrs[i].Less(wantAddrs[j]) })
+		wantAddrs = dropAdjacentDups(wantAddrs)
+		if got := NewSet(addrs).Addrs(); !slices.Equal(got, wantAddrs) {
+			t.Fatalf("trial %d: NewSet = %v, want %v", trial, got, wantAddrs)
+		}
+
+		wantPrefixes := make([]netip.Prefix, n)
+		for i, p := range prefixes {
+			wantPrefixes[i] = CanonicalPrefix(p)
+		}
+		sort.Slice(wantPrefixes, func(i, j int) bool {
+			a, b := wantPrefixes[i], wantPrefixes[j]
+			if a.Addr() != b.Addr() {
+				return a.Addr().Less(b.Addr())
+			}
+			return a.Bits() < b.Bits()
+		})
+		wantPrefixes = dropAdjacentDups(wantPrefixes)
+		if got := NewPrefixSet(prefixes).Prefixes(); !slices.Equal(got, wantPrefixes) {
+			t.Fatalf("trial %d: NewPrefixSet = %v, want %v", trial, got, wantPrefixes)
+		}
+	}
+}
+
+func dropAdjacentDups[T comparable](s []T) []T {
+	var out []T
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

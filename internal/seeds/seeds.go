@@ -261,9 +261,17 @@ func CDNObservations(u *netsim.Universe, rng *rand.Rand, scale Scale, numInterva
 // the 8x ratio between the two lists); the published lists keep the
 // paper's names.
 func CDN(u *netsim.Universe, rng *rand.Rand, scale Scale, k int) List {
-	const intervals = 24
-	obs := CDNObservations(u, rng, scale, intervals)
-	aggs := kip.Aggregate(obs, intervals, kip.Params{K: effectiveK(k, scale), Percentile: 50})
+	return cdnList(CDNObservations(u, rng, scale, cdnIntervals), scale, k)
+}
+
+// cdnIntervals is the number of activity intervals in the CDN's
+// measurement window.
+const cdnIntervals = 24
+
+// cdnList aggregates one observation sample into the published list for
+// k. It only reads obs, so the k32 and k256 lists can share a sample.
+func cdnList(obs []kip.Observation, scale Scale, k int) List {
+	aggs := kip.Aggregate(obs, cdnIntervals, kip.Params{K: effectiveK(k, scale), Percentile: 50})
 	name := "cdn-k32"
 	if k >= 256 {
 		name = "cdn-k256"

@@ -2,6 +2,7 @@ package seeds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"beholder/internal/addrclass"
@@ -178,15 +179,8 @@ func TestAllDeterminism(t *testing.T) {
 	a, _ := All(u, 11, 0.25)
 	b, _ := All(u, 11, 0.25)
 	for name, la := range a {
-		lb := b[name]
-		sizeA, sizeB := 0, 0
-		if la.Addrs != nil {
-			sizeA, sizeB = la.Addrs.Len(), lb.Addrs.Len()
-		} else {
-			sizeA, sizeB = la.Prefixes.Len(), lb.Prefixes.Len()
-		}
-		if sizeA != sizeB {
-			t.Errorf("%s: %d vs %d for same seed", name, sizeA, sizeB)
+		if !sameList(la, b[name]) {
+			t.Errorf("%s: contents differ for the same seed", name)
 		}
 	}
 	c, _ := All(u, 12, 0.25)
@@ -194,6 +188,41 @@ func TestAllDeterminism(t *testing.T) {
 		c["random"].Addrs.At(0) == a["random"].Addrs.At(0) {
 		t.Error("different seeds produced identical random lists")
 	}
+}
+
+// TestGenerateMatchesAll: building one list alone gives exactly the
+// contents All gives it, for every list name and more than one scale.
+func TestGenerateMatchesAll(t *testing.T) {
+	u := universe(t)
+	for _, scale := range []Scale{0.1, 0.25} {
+		all, _ := All(u, 11, scale)
+		for _, name := range Names(all) {
+			got, ok := Generate(u, 11, scale, name)
+			if !ok {
+				t.Errorf("scale %v: Generate(%q) unknown", scale, name)
+				continue
+			}
+			if !sameList(got, all[name]) {
+				t.Errorf("scale %v: Generate(%q) differs from All", scale, name)
+			}
+		}
+	}
+	if _, ok := Generate(u, 11, 0.1, "nope"); ok {
+		t.Error("Generate accepted an unknown list name")
+	}
+}
+
+// sameList compares two lists' names, methods and contents: addresses
+// for address lists, prefixes for the CDN lists.
+func sameList(a, b List) bool {
+	if a.Name != b.Name || a.Method != b.Method ||
+		(a.Addrs == nil) != (b.Addrs == nil) || (a.Prefixes == nil) != (b.Prefixes == nil) {
+		return false
+	}
+	if a.Addrs != nil && !slices.Equal(a.Addrs.Addrs(), b.Addrs.Addrs()) {
+		return false
+	}
+	return a.Prefixes == nil || slices.Equal(a.Prefixes.Prefixes(), b.Prefixes.Prefixes())
 }
 
 func TestAllListsPopulated(t *testing.T) {

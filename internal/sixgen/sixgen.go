@@ -12,6 +12,7 @@ package sixgen
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"beholder/internal/ipv6"
@@ -123,7 +124,7 @@ func nybbles(a netip.Addr) [32]uint8 {
 func clusterize(seeds []netip.Addr, cfg Config) []*Cluster {
 	sorted := make([]netip.Addr, len(seeds))
 	copy(sorted, seeds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	slices.SortFunc(sorted, netip.Addr.Compare)
 
 	var clusters []*Cluster
 	var cur *Cluster
