@@ -47,11 +47,12 @@ race:
 bench:
 	$(GO) run ./cmd/bench -benchtime 1.5s -out BENCH_PR8.json
 
-# bench-smoke runs the set-up benchmarks once each (seed-list
-# generation per list, target-set building), so benchmarks that only
-# compile in `go test` cannot rot unnoticed.
+# bench-smoke runs the set-up benchmarks (seed-list generation per
+# list, target-set building) and the batch graph build and union once
+# each, so benchmarks that only compile in `go test` cannot rot
+# unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SeedList|TargetBuild' -benchtime 1x ./internal/seeds .
+	$(GO) test -run '^$$' -bench 'SeedList|TargetBuild|FromStore|GraphMerge' -benchtime 1x ./internal/seeds ./internal/graph .
 
 # bench-check is the CI gate: short-form run that fails when any hot
 # benchmark's steady-state allocs/probe exceeds the bound, when

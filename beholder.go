@@ -293,12 +293,10 @@ type YarrpOptions struct {
 	// byte-identical at any value. Zero selects the engine default
 	// (core.DefaultBatch); one disables batching.
 	Batch int
-	// Graph enables streaming topology-graph construction: an observer
-	// on the prober (one per shard) folds every reply into the
-	// interface-level multigraph while the campaign runs, so
-	// Result.Graph() costs nothing extra at any store size. Without it,
-	// Result.Graph() falls back to a post-hoc batch build over the
-	// trace store — same graph, but a full store scan.
+	// Graph builds the interface-level topology graph from the merged
+	// trace store when the campaign finishes, so the returned Result
+	// already holds it. Without it, Result.Graph() builds the same graph
+	// on first call. Adaptive and resumed runs always build lazily.
 	Graph bool
 	// Telemetry, when non-nil, collects hot-path metrics for the run:
 	// yarrp_* probe/reply counters and RTT/batch-fill/drain-gap
@@ -459,13 +457,11 @@ func (r *Result) Discovered(addr netip.Addr) bool { return r.store.AddrSeen(addr
 // Store exposes the underlying result store for analysis.
 func (r *Result) Store() *probe.Store { return r.store }
 
-// Graph returns the campaign's interface-level topology graph. With
-// YarrpOptions.Graph it is the streaming graph built during the run
-// (shard subgraphs already merged); otherwise it is batch-built from
-// the trace store on first call and cached — the two constructions are
-// equivalent. The graph supports canonical NDJSON/DOT export, router
-// collapse against alias-detection results, and cross-vantage union via
-// UnionGraphs.
+// Graph returns the campaign's interface-level topology graph, built
+// from the merged trace store and cached: at run end with
+// YarrpOptions.Graph, otherwise on first call. The graph supports
+// canonical NDJSON/DOT export, router collapse against alias-detection
+// results, and cross-vantage union via UnionGraphs.
 func (r *Result) Graph() *graph.Graph {
 	if r.graph == nil {
 		r.graph = graph.FromStore(r.store, r.vantage, r.proto)
@@ -529,16 +525,7 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 		}
 	}
 	r := v.beginRun(opt.Telemetry)
-	if opt.Graph {
-		// With streaming graph construction, every shard folds replies
-		// into its own subgraph; the subgraphs merge after the run into
-		// exactly the graph one unsharded prober would have built.
-		r.builders = make([]*graph.Graph, shards)
-		ccfg.NewObserver = func(s int) probe.Observer {
-			r.builders[s] = graph.New(v.v.Name())
-			return r.builders[s]
-		}
-	}
+	r.graph = opt.Graph
 	conns := func(int, time.Duration) probe.Conn {
 		// A lone shard owns the whole window and probes on the vantage's
 		// own connection, so back-to-back runs on one vantage carry its
@@ -563,9 +550,8 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 // — store, graph, progress stream, discovery curve — to one that was
 // never interrupted: router token-bucket levels ride in the artifact,
 // so even rate-limiters saturated across the interrupt instant replay
-// exactly. The resumed run's Result.Graph() is batch-built from the
-// trace store (streaming observers cannot see pre-interrupt replies;
-// the two constructions are equivalent).
+// exactly. The resumed run's Result.Graph() is built from the trace
+// store on first call, like every Result graph.
 func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, error) {
 	if core.IsAdaptiveCheckpoint(artifact) {
 		return v.resumeAdaptive(artifact, opt)
@@ -666,9 +652,9 @@ type facadeRun struct {
 	// epoch is the run's origin on the vantage timeline, set when its
 	// shards probe clones; nil when a lone shard probes the vantage's
 	// own connection.
-	epoch    func() time.Duration
-	clones   []*netsim.Vantage
-	builders []*graph.Graph // per-shard streaming graphs (YarrpOptions.Graph)
+	epoch  func() time.Duration
+	clones []*netsim.Vantage
+	graph  bool // build the Result graph at run end (YarrpOptions.Graph)
 }
 
 // beginRun snapshots the counters a run's Result reports deltas of.
@@ -751,10 +737,8 @@ func (r *facadeRun) finish(eng engine, proto uint8) (*Result, error) {
 		vantage:     v.v.Name(),
 		proto:       proto,
 	}
-	if len(r.builders) == 1 {
-		res.graph = r.builders[0] // a union of one graph would only copy it
-	} else if r.builders != nil {
-		res.graph = graph.Union(r.builders...)
+	if r.graph {
+		res.Graph()
 	}
 	res.setPlanStats(v, r.vsBefore, r.clones)
 	if r.reg != nil {

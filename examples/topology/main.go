@@ -1,4 +1,4 @@
-// Topology: run graph-observed Yarrp6 campaigns from two vantage
+// Topology: run graph-building Yarrp6 campaigns from two vantage
 // points, union them into one interface-level topology graph, collapse
 // aliased middlebox prefixes into router nodes, and emit the union as
 // Graphviz DOT on stdout:
@@ -26,8 +26,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "topology: %d targets across %d ASes\n", len(targets), in.NumASes())
 
-	// One graph-observed campaign per vantage: the graph is built
-	// streaming, while probes fly, not from the stored traces.
+	// One campaign per vantage: its graph is rebuilt from the stored
+	// traces when the run ends, as the stateless prober keeps no
+	// per-target state while probes fly.
 	var graphs []*beholder.Result
 	for _, name := range []string{"vantage-west", "vantage-east"} {
 		v := in.NewVantage(name)

@@ -1,7 +1,10 @@
 package beholder
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +27,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 func goldenOptions() ExpOptions {
 	return ExpOptions{Seed: 2018, Scale: 0.15, Small: true, Rate: 8000}
 }
+
+// graphUnionDigest holds the SHA-256 of Experiments.GraphUnion()'s
+// canonical NDJSON under goldenOptions.
+var graphUnionDigest = filepath.Join("testdata", "graph-union.sha256")
 
 // goldenName maps a renderable's ID to its golden file, keeping the
 // paper-order index so the directory listing reads like the evaluation.
@@ -92,6 +99,24 @@ func TestGoldenExperiments(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s: output differs from golden master\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 		}
+	}
+
+	// The graph study's cross-vantage union is what cmd/beholder -graph
+	// exports; its golden table only pins counts, so pin the canonical
+	// NDJSON bytes by digest.
+	var buf bytes.Buffer
+	if err := e.GraphUnion().WriteNDJSON(&buf, e.Internet().Universe().Table()); err != nil {
+		t.Fatal(err)
+	}
+	digest := fmt.Sprintf("%x\n", sha256.Sum256(buf.Bytes()))
+	if *update {
+		if err := os.WriteFile(graphUnionDigest, []byte(digest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(graphUnionDigest); err != nil {
+		t.Fatalf("missing %s (run: go test -run TestGoldenExperiments -update .): %v", graphUnionDigest, err)
+	} else if digest != string(want) {
+		t.Errorf("graph union NDJSON digest %s differs from %s", strings.TrimSpace(digest), graphUnionDigest)
 	}
 
 	// Any golden file not produced this run is stale.

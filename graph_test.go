@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// graphExport runs one fdns_any z64 campaign with the streaming graph
-// observer under the given shard count and plan-cache size, returning
-// the canonical NDJSON bytes of the resulting graph.
+// graphExport runs one fdns_any z64 campaign with YarrpOptions.Graph
+// under the given shard count and plan-cache size, returning the
+// canonical NDJSON bytes of the resulting graph.
 func graphExport(t *testing.T, shards, planCache int) []byte {
 	t.Helper()
 	in := NewSmallInternet(77)
@@ -34,7 +34,7 @@ func graphExport(t *testing.T, shards, planCache int) []byte {
 }
 
 // TestGraphPlanCacheDeterminism: at every shard count, the plan cache
-// must not change the streamed graph by a byte. (The full shards ×
+// must not change the campaign graph by a byte. (The full shards ×
 // cache matrix — including cross-shard-count byte equality — lives in
 // internal/core's TestGraphShardCacheMatrix on a non-scarce universe,
 // where cross-shard store equality is exact; this facade run keeps the
@@ -50,9 +50,9 @@ func TestGraphPlanCacheDeterminism(t *testing.T) {
 	}
 }
 
-// TestResultGraphFallback: without YarrpOptions.Graph, Result.Graph()
-// batch-builds from the trace store — and must equal the streamed
-// graph.
+// TestResultGraphFallback: the graph Result.Graph() builds lazily
+// without YarrpOptions.Graph must equal the one built at run end with
+// it.
 func TestResultGraphFallback(t *testing.T) {
 	run := func(stream bool) *Result {
 		in := NewSmallInternet(31)

@@ -3,6 +3,9 @@ package graph
 import (
 	"runtime"
 	"testing"
+
+	"beholder/internal/probe"
+	"beholder/internal/wire"
 )
 
 func testingAllocs() uint64 {
@@ -37,8 +40,24 @@ func BenchmarkGraphIngest(b *testing.B) {
 	b.ReportMetric(float64(len(replies))*float64(b.N)/b.Elapsed().Seconds(), "replies/s")
 }
 
-// BenchmarkGraphMerge measures folding shard subgraphs into a campaign
-// graph.
+// BenchmarkFromStore measures building a campaign graph from its
+// merged trace store, the construction every Result graph uses.
+func BenchmarkFromStore(b *testing.B) {
+	st := probe.NewStore(true)
+	for _, r := range randReplies(3, 2000) {
+		st.Add(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if FromStore(st, "bench", wire.ProtoICMPv6).NumEdges() == 0 {
+			b.Fatal("empty graph")
+		}
+	}
+}
+
+// BenchmarkGraphMerge measures folding subgraphs into one graph with
+// Union.
 func BenchmarkGraphMerge(b *testing.B) {
 	replies := randReplies(5, 2000)
 	shards := make([]*Graph, 4)

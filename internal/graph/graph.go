@@ -2,33 +2,29 @@
 // graph. Probe logs and interface counts are intermediate artifacts —
 // the paper's comparisons (discovery power per strategy, marginal gain
 // per vantage, periphery structure) are statements about the
-// interface-level directed multigraph a campaign induces, and this
-// package constructs that graph *while the campaign runs*.
+// interface-level directed multigraph a campaign induces.
 //
-// The builder is streaming: it implements probe.Observer, folding every
-// reply into per-(vantage, protocol, target) path skeletons and
-// maintaining the derived edge multiset incrementally, so no post-hoc
-// scan over a multi-million-trace store is needed. Hops arrive in
-// randomized TTL order (that is Yarrp6's whole point), so edge
-// maintenance is incremental interval splitting: a hop landing between
-// two already-known hops replaces their spanning edge with the two
-// sub-edges.
+// The prober keeps no per-target state, so a campaign's graph is
+// rebuilt from its replies afterwards: FromStore folds every trace of
+// the merged result store into per-(vantage, protocol, target) path
+// skeletons and derives the edge multiset from them. Hops may be
+// inserted in any TTL order, so edge maintenance is incremental
+// interval splitting: a hop landing between two already-known hops
+// replaces their spanning edge with the two sub-edges. The same
+// insertion serves Graph as a streaming probe.Observer (OnReply), which
+// the supervisor uses to stream a campaign's live node/edge growth.
 //
 // Determinism is the package's core invariant. The node set and edge
 // multiset are pure functions of the final path skeletons — never of
-// reply arrival order — and Merge unions skeletons (with a commutative
-// tie-break) before re-deriving edges. Campaign shards own disjoint
-// (target × TTL) slices, so per-shard subgraphs merge into exactly the
-// graph a single unsharded prober would have built, byte-identical
-// under canonical export at any shard count and any plan-cache size.
-// Cross-vantage union is the same Merge: paths are keyed by vantage, so
-// differing views of one target never mix.
+// hop insertion order — and Merge unions skeletons (with a commutative
+// tie-break) before re-deriving edges. Cross-vantage union is Merge:
+// paths are keyed by vantage, so differing views of one target never
+// mix.
 package graph
 
 import (
 	"net/netip"
 	"sort"
-	"sync"
 
 	"beholder/internal/probe"
 )
@@ -88,9 +84,9 @@ type path struct {
 }
 
 // Graph is a deterministic interface-level directed multigraph under
-// incremental construction. It implements probe.Observer; a Graph is
-// owned by a single prober goroutine while its campaign runs, and
-// shard/vantage subgraphs are folded afterwards with Merge.
+// incremental construction, built by FromStore or fed live as a
+// probe.Observer (owned by a single prober goroutine while its campaign
+// runs); graphs of different vantages fold together with Merge.
 type Graph struct {
 	vantages []string
 	self     uint8 // vantage index OnReply attributes replies to
@@ -136,53 +132,12 @@ func newEmpty() *Graph {
 // modified). Merge is commutative and associative, so the result is
 // independent of argument order up to vantage-table layout, which
 // canonical export normalizes away.
-//
-// Three or more inputs merge as a parallel tree: the first level
-// copy-merges adjacent pairs into fresh graphs on worker goroutines,
-// later levels fold those (now privately owned) intermediates pairwise,
-// so union latency over N shard subgraphs is O(log N) pairwise merges.
-// Adjacent pairing preserves left-to-right vantage interning order, so
-// even the pre-normalization vantage table matches the serial fold.
 func Union(gs ...*Graph) *Graph {
-	if len(gs) <= 2 {
-		out := newEmpty()
-		for _, g := range gs {
-			out.Merge(g)
-		}
-		return out
+	out := newEmpty()
+	for _, g := range gs {
+		out.Merge(g)
 	}
-	cur := make([]*Graph, (len(gs)+1)/2)
-	var wg sync.WaitGroup
-	for i := range cur {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out := newEmpty()
-			out.Merge(gs[2*i])
-			if 2*i+1 < len(gs) {
-				out.Merge(gs[2*i+1])
-			}
-			cur[i] = out
-		}(i)
-	}
-	wg.Wait()
-	for len(cur) > 1 {
-		pairs := len(cur) / 2
-		for i := 0; i < pairs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				cur[2*i].Merge(cur[2*i+1])
-			}(i)
-		}
-		wg.Wait()
-		next := cur[:0]
-		for i := 0; i < len(cur); i += 2 {
-			next = append(next, cur[i])
-		}
-		cur = next
-	}
-	return cur[0]
+	return out
 }
 
 // vantageIndex interns a vantage name.
@@ -397,9 +352,10 @@ func (g *Graph) Merge(o *Graph) {
 	}
 }
 
-// FromStore batch-builds the graph a streaming observer would have
-// produced over the store's traces: the two constructions are
-// equivalent by design (and by test). proto annotates the edges, since
+// FromStore builds the graph of the store's traces — the same graph a
+// streaming observer fed the store's replies would hold. Each trace's
+// TTLs are unique and insertHop takes them in any order, so hops are
+// inserted as stored, without sorting. proto annotates the edges, since
 // the store does not retain the probing transport; extra interface
 // addresses without path placement (mangled quotations) are imported as
 // bare nodes.
@@ -410,7 +366,7 @@ func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 	})
 	for _, tr := range st.Traces() {
 		k := pathKey{g.self, proto, tr.Target}
-		for _, h := range tr.SortedHops() {
+		for _, h := range tr.Hops {
 			g.insertHop(k, h.TTL, h.Addr, false)
 		}
 		if tr.Reached {

@@ -251,6 +251,53 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestFromStoreOrderIndependence is a metamorphic check of FromStore:
+// neither the order of a trace's stored hops nor the order the store
+// received its replies in may change the graph or its canonical export.
+func TestFromStoreOrderIndependence(t *testing.T) {
+	replies := randReplies(17, 90) // one reply per (target, TTL)
+	storeOf := func(rs []probe.Reply) *probe.Store {
+		st := probe.NewStore(true)
+		for _, r := range rs {
+			st.Add(r)
+		}
+		return st
+	}
+	export := func(g *Graph) string {
+		var buf bytes.Buffer
+		if err := g.WriteNDJSON(&buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	st := storeOf(replies)
+	base := FromStore(st, "v0", wire.ProtoICMPv6)
+	want := export(base)
+	if base.NumEdges() == 0 {
+		t.Fatal("empty base graph")
+	}
+	check := func(what string, g *Graph) {
+		t.Helper()
+		if !g.Equal(base) {
+			t.Fatalf("%s: graph differs", what)
+		}
+		if export(g) != want {
+			t.Fatalf("%s: NDJSON differs", what)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 4; round++ {
+		for _, tr := range st.Traces() {
+			rng.Shuffle(len(tr.Hops), func(i, j int) { tr.Hops[i], tr.Hops[j] = tr.Hops[j], tr.Hops[i] })
+		}
+		check("shuffled hops", FromStore(st, "v0", wire.ProtoICMPv6))
+
+		shuffled := append([]probe.Reply(nil), replies...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check("shuffled replies", FromStore(storeOf(shuffled), "v0", wire.ProtoICMPv6))
+	}
+}
+
 // TestCrossVantageUnion: same target, different vantages — paths must
 // not mix, edges keep vantage attribution.
 func TestCrossVantageUnion(t *testing.T) {

@@ -63,6 +63,25 @@ func TestStorePathRecording(t *testing.T) {
 	}
 }
 
+// TestSortedHopsAllocs: sorting a trace's hops costs only the copy it
+// returns.
+func TestSortedHopsAllocs(t *testing.T) {
+	s := NewStore(true)
+	for _, ttl := range []uint8{9, 2, 14, 5, 1, 11, 7, 3} {
+		s.Add(teReply("2001:db8::1", "2400:1::1", ttl))
+	}
+	tr := s.Trace(addr("2001:db8::1"))
+	if got := testing.AllocsPerRun(100, func() { tr.SortedHops() }); got != 1 {
+		t.Fatalf("SortedHops allocs = %v, want 1", got)
+	}
+	hops := tr.SortedHops()
+	for i := 1; i < len(hops); i++ {
+		if hops[i-1].TTL >= hops[i].TTL {
+			t.Fatalf("hops out of TTL order: %v", hops)
+		}
+	}
+}
+
 func TestStoreNoPathsWithoutRecording(t *testing.T) {
 	s := NewStore(false)
 	s.Add(teReply("2001:db8::1", "2400:1::1", 1))

@@ -1,9 +1,10 @@
 package probe
 
 import (
+	"cmp"
 	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // HopEntry is one responsive hop of a traced path.
@@ -43,7 +44,7 @@ func (t *Trace) markTTL(ttl uint8) {
 func (t *Trace) SortedHops() []HopEntry {
 	out := make([]HopEntry, len(t.Hops))
 	copy(out, t.Hops)
-	sort.Slice(out, func(i, j int) bool { return out[i].TTL < out[j].TTL })
+	slices.SortFunc(out, func(a, b HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
 	return out
 }
 
